@@ -14,12 +14,12 @@ degree summary row plus one explicit witness.
 
 from hopfgalois.pipeline import analyze_degree
 
-catalogue, reports, _ = analyze_degree(8)
-no_hgs = [e for e in catalogue if any(r.no_hgs for r in reports[e.entry_id])]
+catalogue, witnesses = analyze_degree(8)
+no_hgs = [e for e in catalogue if witnesses[e.entry_id]]
 print(f"degree 8: {len(catalogue)} transitive classes, {len(no_hgs)} with the parallel no-HGS property")
 
 entry = no_hgs[0]
-witness = next(r for r in reports[entry.entry_id] if r.no_hgs)
+witness = witnesses[entry.entry_id][0]
 print()
 print(f"example witness: entry {entry.entry_id} (type {entry.type_label}, order {entry.order})")
 print(f"  index-8 subgroup class of order {witness.h_class.order}, core order {witness.core_order}")

@@ -19,7 +19,6 @@ ALGORITHM_VERSION = "1"
 CACHE_FORMAT_VERSION = 1
 
 ENV_CACHE_DIR = "HOPFGALOIS_CACHE_DIR"
-ENV_THREADS = "HOPFGALOIS_THREADS"
 
 
 def default_cache_dir() -> Path:
@@ -51,6 +50,13 @@ def stamp_valid(obj: dict) -> bool:
     )
 
 
+def _write_atomic(path: Path, text: str):
+    """Write beside the target, then rename: readers never see half a file."""
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
 def catalogue_path(cache_dir: Path, degree: int, type_label: str) -> Path:
     safe = type_label.replace("/", "_").replace(".", "-")
     return cache_dir / f"catalogue_deg{degree}_{safe}.json"
@@ -60,9 +66,7 @@ def write_catalogue_file(cache_dir: Path, degree: int, type_label: str, payload:
     obj = dict(_stamp())
     obj.update(payload)
     path = catalogue_path(cache_dir, degree, type_label)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(obj, indent=1, sort_keys=True))
-    tmp.replace(path)
+    _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True))
 
 
 def read_catalogue_file(cache_dir: Path, degree: int, type_label: str) -> dict | None:
@@ -82,21 +86,38 @@ def reports_path(cache_dir: Path, degree: int) -> Path:
     return cache_dir / f"reports_deg{degree}.jsonl"
 
 
+def _line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def append_report_line(cache_dir: Path, degree: int, record: dict):
     with reports_path(cache_dir, degree).open("a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(_line(record))
 
 
 def read_report_lines(cache_dir: Path, degree: int) -> list[dict]:
+    """The log's lines up to the first that does not parse, such as the
+    torn last line a killed run leaves."""
     path = reports_path(cache_dir, degree)
     if not path.exists():
         return []
     out = []
     for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
+        try:
             out.append(json.loads(line))
+        except json.JSONDecodeError:
+            break
     return out
+
+
+def open_report_log(cache_dir: Path, degree: int, resume: bool) -> list[dict]:
+    """Rewrite the log (a stamp, then a line per finished entry) and
+    return the entry lines kept: with ``resume``, those of a log with a
+    valid stamp, up to a torn one; otherwise none."""
+    lines = read_report_lines(cache_dir, degree) if resume else []
+    kept = lines[1:] if lines and stamp_valid(lines[0]) else []
+    _write_atomic(reports_path(cache_dir, degree), "".join(map(_line, [_stamp(), *kept])))
+    return kept
 
 
 def summary_csv(rows) -> str:
@@ -143,5 +164,5 @@ def record_fixture(cache_dir: Path, key: str, value) -> tuple[bool, dict | None]
         "algorithm_version": ALGORITHM_VERSION,
     }
     fixtures[key] = entry
-    fixtures_path(cache_dir).write_text(json.dumps(fixtures, indent=1, sort_keys=True))
+    _write_atomic(fixtures_path(cache_dir), json.dumps(fixtures, indent=1, sort_keys=True))
     return True, None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cache as cachemod
@@ -31,8 +30,6 @@ EXIT_RESOURCE = 3
 def _add_common(p):
     p.add_argument("--cache-dir", default=None, help="cache directory (default: env or ~/.cache/hopfgalois)")
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; accepted for compatibility, the current engine is single-process")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                    help="largest group order the enumerations may touch")
     p.add_argument("--resume", action="store_true", help="reuse cached catalogues and reports")
@@ -71,15 +68,6 @@ def build_parser():
     return ap
 
 
-def _threads(args):
-    if args.threads is not None:
-        if args.threads < 1:
-            raise PreconditionError("--threads must be positive")
-        return args.threads
-    env = os.environ.get(cachemod.ENV_THREADS)
-    return int(env) if env else 1
-
-
 def cmd_catalog(args) -> int:
     from .pipeline import build_catalogue
 
@@ -109,14 +97,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_no_hgs(args) -> int:
-    from .pipeline import detect_no_hgs
+    from .pipeline import analyze_degree, degree_summary
 
-    summary = detect_no_hgs(
+    catalogue, witnesses = analyze_degree(
         args.degree,
         cache_dir=args.cache_dir or cachemod.default_cache_dir(),
         resume=args.resume,
         max_order=args.max_order,
     )
+    summary = degree_summary(args.degree, catalogue, witnesses)
     if args.seed_fixtures:
         cache_path = cachemod.resolve_cache_dir(args.cache_dir)
         key = f"no-hgs/degree{args.degree}"
@@ -140,29 +129,10 @@ def cmd_no_hgs(args) -> int:
     else:
         print(f"{row[0]},{row[1]},{row[2]}")
     if args.emit_witnesses:
-        _emit_witnesses(args)
-    return EXIT_OK
-
-
-def _emit_witnesses(args):
-    from .pipeline import analyze_degree
-
-    catalogue, reports, done = analyze_degree(
-        args.degree,
-        cache_dir=args.cache_dir or cachemod.default_cache_dir(),
-        resume=args.resume,
-        max_order=args.max_order,
-    )
-    for entry in catalogue:
-        entry_reports = reports.get(entry.entry_id)
-        if entry_reports is None:
-            for rec in done.get(entry.entry_id, []):
-                if rec["no_hgs"]:
-                    print(json.dumps(rec))
-            continue
-        for rep in entry_reports:
-            if rep.no_hgs:
+        for entry in catalogue:
+            for rep in witnesses[entry.entry_id]:
                 print(json.dumps(rep.to_json()))
+    return EXIT_OK
 
 
 def cmd_verify_pq(args) -> int:
@@ -259,7 +229,7 @@ def cmd_extend(args) -> int:
 
     if args.degree % 2 == 0:
         raise PreconditionError("n odd required for family extension")
-    catalogue, reports, done = analyze_degree(
+    catalogue, witnesses = analyze_degree(
         args.degree,
         cache_dir=args.cache_dir or cachemod.default_cache_dir(),
         resume=args.resume,
@@ -268,10 +238,9 @@ def cmd_extend(args) -> int:
     entry = next((e for e in catalogue if e.entry_id == args.entry), None)
     if entry is None:
         raise PreconditionError(f"no entry {args.entry} at degree {args.degree}")
-    entry_reports = reports.get(entry.entry_id, [])
-    witness = next((r for r in entry_reports if r.no_hgs), None)
-    if witness is None:
+    if not witnesses[entry.entry_id]:
         raise PreconditionError(f"entry {args.entry} has no parallel no-HGS witness")
+    witness = witnesses[entry.entry_id][0]
     if args.primes:
         primes = [int(x) for x in args.primes.split(",")]
     elif args.auto_prime:
@@ -303,7 +272,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _threads(args)
         return _COMMANDS[args.command](args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

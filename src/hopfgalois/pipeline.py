@@ -30,6 +30,10 @@ from .subgroups import (
 )
 
 
+def _perms(n: int, lists) -> list:
+    return [bytes(p) if n <= 256 else tuple(p) for p in lists]
+
+
 @dataclass(frozen=True)
 class CatalogueEntry:
     """A transitive subgroup of some Hol(N), with its point stabilizer."""
@@ -83,6 +87,14 @@ class ParallelReport:
             "scanned": list(self.scanned),
         }
 
+    @classmethod
+    def from_json(cls, rec: dict, degree: int) -> "ParallelReport":
+        """Rebuild a logged no-HGS report; the log holds no match witness."""
+        H = PermGroup(degree, _perms(degree, rec["h_generators"]))
+        h_class = SubgroupClass(H, rec["h_class_size"], rec["h_order"], None)
+        return cls(rec["source_entry"], h_class, rec["core_order"], rec["quotient_degree"],
+                   None, rec["no_hgs"], tuple(rec["scanned"]))
+
 
 @dataclass(frozen=True)
 class DegreeSummary:
@@ -118,8 +130,8 @@ def build_catalogue(
         )
         if cached is not None:
             for rec in cached["entries"]:
-                group = PermGroup(n, [bytes(p) if n <= 256 else tuple(p) for p in rec["group"]])
-                stab = PermGroup(n, [bytes(p) if n <= 256 else tuple(p) for p in rec["stabilizer"]])
+                group = PermGroup(n, _perms(n, rec["group"]))
+                stab = PermGroup(n, _perms(n, rec["stabilizer"]))
                 catalogue.append(
                     CatalogueEntry(
                         n, N.label, group, stab, rec["order"], rec["entry_id"], rec["class_size"]
@@ -219,36 +231,52 @@ def analyze_degree(
     max_order: int = DEFAULT_MAX_ORDER,
     progress=None,
 ):
-    """Catalogue plus reports for every entry; resumable via the report log."""
+    """The catalogue and, per entry id, that entry's no-HGS reports.
+
+    With a cache directory each analysed entry gets one line in the report
+    log; ``resume`` reads back the entries a valid log holds and analyses
+    the rest.  ``progress(entry, reports)`` sees every report of each entry
+    analysed in this call.
+    """
     catalogue = build_catalogue(n, cache_dir=cache_dir, resume=resume, max_order=max_order)
-    done: dict[int, list] = {}
     cache_path = cachemod.resolve_cache_dir(cache_dir) if cache_dir or resume else None
-    if resume and cache_path:
-        for rec in cachemod.read_report_lines(cache_path, n):
-            done.setdefault(rec["source_entry"], []).append(rec)
-    # an entry counts as done only when every one of its reports was logged
-    # (interrupted runs may leave a partial trail)
-    complete = {
-        eid
-        for eid, recs in done.items()
-        if len(recs) >= recs[0].get("entry_report_count", len(recs))
-    }
-    for eid in set(done) - complete:
-        del done[eid]
-    reports: dict[int, list[ParallelReport]] = {}
+    witnesses: dict[int, list[ParallelReport]] = {}
+    if cache_path:
+        for rec in cachemod.open_report_log(cache_path, n, resume):
+            witnesses[rec["entry_id"]] = [ParallelReport.from_json(r, n) for r in rec["witnesses"]]
     for entry in catalogue:
-        if resume and entry.entry_id in complete:
+        if entry.entry_id in witnesses:
             continue
-        entry_reports = analyze_parallel(entry, catalogue, max_order=max_order)
-        reports[entry.entry_id] = entry_reports
+        reports = analyze_parallel(entry, catalogue, max_order=max_order)
+        witnesses[entry.entry_id] = [r for r in reports if r.no_hgs]
         if cache_path:
-            for rep in entry_reports:
-                rec = rep.to_json()
-                rec["entry_report_count"] = len(entry_reports)
-                cachemod.append_report_line(cache_path, n, rec)
+            cachemod.append_report_line(cache_path, n, {
+                "entry_id": entry.entry_id,
+                "classes": len(reports),
+                "witnesses": [r.to_json() for r in witnesses[entry.entry_id]],
+            })
         if progress:
-            progress(entry, entry_reports)
-    return catalogue, reports, done
+            progress(entry, reports)
+    return catalogue, witnesses
+
+
+def degree_summary(n: int, catalogue, witnesses) -> DegreeSummary:
+    """Count the catalogue entries that have a no-HGS report."""
+    per_type: dict[str, list[int]] = {}
+    for entry in catalogue:
+        counts = per_type.setdefault(entry.type_label, [0, 0])
+        counts[0] += 1
+        counts[1] += bool(witnesses[entry.entry_id])
+    summary = DegreeSummary(
+        n,
+        len(catalogue),
+        sum(1 for e in catalogue if witnesses[e.entry_id]),
+        tuple((label, c[0], c[1]) for label, c in sorted(per_type.items())),
+        sum(len(witnesses[e.entry_id]) for e in catalogue),
+    )
+    assert summary.total_transitive_classes == sum(c for _, c, _ in summary.per_type)
+    assert summary.no_hgs_entries == sum(c for _, _, c in summary.per_type)
+    return summary
 
 
 def detect_no_hgs(
@@ -260,34 +288,10 @@ def detect_no_hgs(
     progress=None,
 ) -> DegreeSummary:
     """Count catalogue entries with at least one unmatched parallel pair."""
-    catalogue, reports, done = analyze_degree(
+    catalogue, witnesses = analyze_degree(
         n, cache_dir=cache_dir, resume=resume, max_order=max_order, progress=progress
     )
-    per_type: dict[str, list[int]] = {}
-    no_hgs_entries = 0
-    no_hgs_pairs = 0
-    for entry in catalogue:
-        counts = per_type.setdefault(entry.type_label, [0, 0])
-        counts[0] += 1
-        if entry.entry_id in reports:
-            failing = [r for r in reports[entry.entry_id] if r.no_hgs]
-        else:
-            failing = [r for r in done.get(entry.entry_id, []) if r["no_hgs"]]
-        if failing:
-            counts[1] += 1
-            no_hgs_entries += 1
-            no_hgs_pairs += len(failing)
-    total = len(catalogue)
-    summary = DegreeSummary(
-        n,
-        total,
-        no_hgs_entries,
-        tuple((label, c[0], c[1]) for label, c in sorted(per_type.items())),
-        no_hgs_pairs,
-    )
-    assert summary.total_transitive_classes == sum(c for _, c, _ in summary.per_type)
-    assert summary.no_hgs_entries == sum(c for _, _, c in summary.per_type)
-    return summary
+    return degree_summary(n, catalogue, witnesses)
 
 
 def hgs_types_admitted(

@@ -20,7 +20,8 @@ from hopfgalois.isomorphism import pair_isomorphic
 from hopfgalois.permgroup import PermGroup, group_from_elements, normal_core
 from hopfgalois.perms import parse_perm
 from hopfgalois.pipeline import (
-    analyze_degree,
+    analyze_parallel,
+    build_catalogue,
     detect_no_hgs,
     find_extension_prime,
     hgs_types_admitted,
@@ -45,7 +46,8 @@ def report(line, ok=True):
 
 @pytest.fixture(scope="module")
 def degree8():
-    catalogue, reports, _ = analyze_degree(8)
+    catalogue = build_catalogue(8)
+    reports = {e.entry_id: analyze_parallel(e, catalogue) for e in catalogue}
     return catalogue, reports
 
 
@@ -158,7 +160,8 @@ def test_criterion_3_degree8_witness_replay(degree8):
 
 @pytest.mark.parametrize("n", [21, 39, 55])
 def test_criterion_4_pq_degrees(n):
-    catalogue, reports, _ = analyze_degree(n)
+    catalogue = build_catalogue(n)
+    reports = {e.entry_id: analyze_parallel(e, catalogue) for e in catalogue}
     no_hgs = [
         e.entry_id for e in catalogue if any(r.no_hgs for r in reports[e.entry_id])
     ]
@@ -189,7 +192,8 @@ def test_criterion_4_pq_degrees(n):
 
 def test_criterion_5_burnside_degree_15():
     n = 15
-    catalogue, reports, _ = analyze_degree(n)
+    catalogue = build_catalogue(n)
+    reports = {e.entry_id: analyze_parallel(e, catalogue) for e in catalogue}
     cyclic_label = groups_of_order(15).groups[0].label
     ok = True
     for e in catalogue:
@@ -367,12 +371,12 @@ def test_criterion_8_stretch_degree_24(tmp_path):
 def test_criterion_8_stretch_degree_27(tmp_path):
     from hopfgalois.pipeline import analyze_degree, iterate_family
 
-    catalogue, reports, done = analyze_degree(27, cache_dir=tmp_path, resume=True, max_order=10**6)
-    no_hgs = [e for e in catalogue if any(r.no_hgs for r in reports[e.entry_id])]
+    catalogue, witnesses = analyze_degree(27, cache_dir=tmp_path, resume=True, max_order=10**6)
+    no_hgs = [e for e in catalogue if witnesses[e.entry_id]]
     got = (len(catalogue), len(no_hgs))
     assert report(f"criterion 8: degree 27 -> {got}, expected (739, 163)", got == (739, 163))
     entry = no_hgs[0]
-    witness = next(r for r in reports[entry.entry_id] if r.no_hgs)
+    witness = witnesses[entry.entry_id][0]
     q = find_extension_prime(27, 27)
     assert q == 29
     certs = iterate_family(entry, witness, [q], catalogue)

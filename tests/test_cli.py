@@ -147,11 +147,3 @@ def test_extend_no_witness_rejected(tmp_path, capsys):
     )
     assert code == 2
     assert "witness" in err
-
-
-def test_threads_validation(tmp_path, capsys):
-    code, _, err = run(
-        ["catalog", "--degree", "2", "--threads", "0", "--cache-dir", str(tmp_path)],
-        capsys,
-    )
-    assert code == 2

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from hopfgalois import cache, pipeline
+from hopfgalois.cli import main
 from hopfgalois.errors import PreconditionError
 from hopfgalois.permgroup import normal_core
 from hopfgalois.pipeline import (
@@ -60,15 +62,90 @@ def test_detect_no_hgs_degree_4_and_5():
     assert s5.total_transitive_classes == 3
 
 
-def test_reports_resume(tmp_path):
+def _count_analyses(monkeypatch):
+    """Entry ids passed to ``analyze_parallel`` from now on."""
+    calls = []
+    real = pipeline.analyze_parallel
+
+    def counted(entry, catalogue, **kwargs):
+        calls.append(entry.entry_id)
+        return real(entry, catalogue, **kwargs)
+
+    monkeypatch.setattr(pipeline, "analyze_parallel", counted)
+    return calls
+
+
+def test_reports_resume(tmp_path, monkeypatch):
     from hopfgalois.pipeline import analyze_degree
 
     detect_no_hgs(4, cache_dir=tmp_path)
-    catalogue, reports, done = analyze_degree(4, cache_dir=tmp_path, resume=True)
-    assert not reports  # everything came from the report log
-    assert set(done) == {e.entry_id for e in catalogue}
+
+    def analysed_again(entry, catalogue, **kwargs):
+        raise AssertionError(f"entry {entry.entry_id} was analysed again")
+
+    # everything comes from the report log
+    monkeypatch.setattr(pipeline, "analyze_parallel", analysed_again)
+    catalogue, witnesses = analyze_degree(4, cache_dir=tmp_path, resume=True)
+    assert set(witnesses) == {e.entry_id for e in catalogue}
     summary = detect_no_hgs(4, cache_dir=tmp_path, resume=True)
     assert summary.no_hgs_entries == 0
+
+
+def test_rerun_writes_the_log_once(tmp_path):
+    detect_no_hgs(6, cache_dir=tmp_path)
+    once = cache.reports_path(tmp_path, 6).read_bytes()
+    detect_no_hgs(6, cache_dir=tmp_path)
+    assert cache.reports_path(tmp_path, 6).read_bytes() == once
+
+
+def test_resume_reanalyses_only_a_torn_entry(tmp_path, monkeypatch):
+    """A killed run leaves its last line torn; resume redoes that entry."""
+    first = detect_no_hgs(6, cache_dir=tmp_path)
+    log = cache.reports_path(tmp_path, 6)
+    log.write_bytes(log.read_bytes()[:-40])
+    calls = _count_analyses(monkeypatch)
+    assert detect_no_hgs(6, cache_dir=tmp_path, resume=True) == first
+    assert len(calls) == 1
+    calls.clear()
+    assert detect_no_hgs(6, cache_dir=tmp_path, resume=True) == first
+    assert calls == []
+
+
+def test_resume_restarts_a_stale_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache, "ALGORITHM_VERSION", "0-stale")
+    first = detect_no_hgs(6, cache_dir=tmp_path)
+    monkeypatch.undo()
+    calls = _count_analyses(monkeypatch)
+    assert detect_no_hgs(6, cache_dir=tmp_path, resume=True) == first
+    assert sorted(calls) == list(range(first.total_transitive_classes))
+    header = json.loads(cache.reports_path(tmp_path, 6).read_text().splitlines()[0])
+    assert cache.stamp_valid(header)
+
+
+def test_resumed_witnesses_equal_fresh_ones(tmp_path):
+    from hopfgalois.pipeline import analyze_degree
+
+    catalogue, fresh = analyze_degree(8, cache_dir=tmp_path)
+    _, resumed = analyze_degree(8, cache_dir=tmp_path, resume=True)
+    assert resumed == fresh
+    assert sum(map(len, fresh.values())) == 10
+    rep = next(r for reps in resumed.values() for r in reps)
+    assert rep.h_class.representative.is_subgroup_of(catalogue[rep.source_entry].group)
+
+
+def test_emit_witnesses_fresh_and_resumed_agree(tmp_path, capsys, monkeypatch):
+    argv = ["no-hgs", "--degree", "8", "--emit-witnesses", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    calls = _count_analyses(monkeypatch)
+    assert main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert calls == []
+    summary, *witnesses = [json.loads(line) for line in fresh.splitlines()]
+    assert summary["no_hgs_pairs"] == 10
+    assert len(witnesses) == 10 and all(w["no_hgs"] for w in witnesses)
+    assert len(cache.reports_path(tmp_path, 8).read_text().splitlines()) == 1 + 148
 
 
 def test_hgs_types_c15():
