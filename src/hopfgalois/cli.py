@@ -32,7 +32,9 @@ def _add_common(p):
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                    help="largest group order the enumerations may touch")
-    p.add_argument("--resume", action="store_true", help="reuse cached catalogues and reports")
+    p.add_argument("--resume", action="store_true",
+                   help="read back the report log of an earlier run and analyse only the entries "
+                        "it lacks (cached catalogues are reused with or without it)")
     p.add_argument("--seed-fixtures", action="store_true",
                    help="record derived values in the fixture store and compare on later runs")
 
@@ -187,7 +189,6 @@ def _load_pair_file(path):
 
 def cmd_analyze(args) -> int:
     from .isomorphism import permutation_pair_of_quotient
-    from .permgroup import normal_core
     from .pipeline import build_catalogue, hgs_types_admitted
 
     degree, G, H = _load_pair_file(args.pair_file)
@@ -195,7 +196,6 @@ def cmd_analyze(args) -> int:
         raise PreconditionError("H is not a subgroup of G")
     if G.order() % degree != 0 or G.order() // H.order() != degree:
         raise PreconditionError(f"H must have index {degree} in G")
-    core = normal_core(G, H)
     J, J_sub = permutation_pair_of_quotient(G, H)
     catalogue = build_catalogue(
         degree, cache_dir=args.cache_dir or cachemod.default_cache_dir(),
@@ -204,7 +204,7 @@ def cmd_analyze(args) -> int:
     types = hgs_types_admitted(J, J_sub, degree, catalogue)
     result = {
         "degree": degree,
-        "core_order": core.order(),
+        "core_order": G.order() // J.order(),
         "quotient_order": J.order(),
         "quotient_degree": J.degree,
         "quotient_regular": J.order() == J.degree,

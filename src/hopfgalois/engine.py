@@ -6,14 +6,18 @@ subgroup closures on those indices.  Views come in two flavours: backed by
 a multiplication table (abstract groups) or by a sorted list of
 permutations (subgroups of a symmetric group).  Small permutation-backed
 views materialize Cayley rows lazily so hot loops run on plain ints.
+Conjugation on permutation-backed views composes the permutations
+themselves, so it builds no Cayley row; those views also know each
+element's cycle type.
 """
 
 from __future__ import annotations
 
-import weakref
+import math
 from array import array
+from collections import Counter
 
-from .perms import compose, inverse, pad256, perm_order
+from .perms import compose, cycle_type, inverse, pad256
 
 CAYLEY_LIMIT = 2048
 
@@ -30,9 +34,12 @@ class GroupView:
         "_inv",
         "_orders",
         "_gens",
+        "_conj_maps",
         "_classes",
         "_class_of",
         "_fingerprints",
+        "_cycle_types",
+        "_cycle_multiset",
         "_invariant",
     )
 
@@ -47,9 +54,12 @@ class GroupView:
         self._inv = None
         self._orders = None
         self._gens = None
+        self._conj_maps = None
         self._classes = None
         self._class_of = None
         self._fingerprints = None
+        self._cycle_types = None
+        self._cycle_multiset = None
         self._invariant = None
 
     # -- constructors ----------------------------------------------------
@@ -140,14 +150,11 @@ class GroupView:
                 base = self.mul(base, base)
         return result
 
-    def order_of(self, i: int) -> int:
-        orders = self.element_orders()
-        return orders[i]
-
     def element_orders(self):
         if self._orders is None:
             if self.elements is not None:
-                self._orders = array("i", [perm_order(p) for p in self.elements])
+                order_of = {t: math.lcm(*t) for t in set(self.cycle_types())}
+                self._orders = array("i", [order_of[t] for t in self._cycle_types])
             else:
                 out = array("i", [0]) * self.size
                 for i in range(self.size):
@@ -159,6 +166,23 @@ class GroupView:
                     out[i] = k
                 self._orders = out
         return self._orders
+
+    def cycle_types(self) -> list:
+        """Per element, its cycle type (permutation-backed views only); equal
+        types are one shared tuple."""
+        if self._cycle_types is None:
+            interned = {}
+            self._cycle_types = [
+                interned.setdefault(t, t) for t in map(cycle_type, self.elements)
+            ]
+        return self._cycle_types
+
+    def cycle_type_multiset(self) -> tuple:
+        """Sorted (cycle type, count) pairs over all elements: equal for
+        groups conjugate in the symmetric group."""
+        if self._cycle_multiset is None:
+            self._cycle_multiset = tuple(sorted(Counter(self.cycle_types()).items()))
+        return self._cycle_multiset
 
     # -- generators ---------------------------------------------------------
 
@@ -205,16 +229,36 @@ class GroupView:
 
     # -- conjugation ----------------------------------------------------------
 
+    def conjugates(self, g: int, xs) -> list[int]:
+        """[g x g^{-1} for x in xs].  Permutation-backed views compose the
+        permutations directly, which costs no Cayley row."""
+        gi = self.inv(g)
+        if self.elements is None:
+            mul = self.mul
+            return [mul(mul(g, x), gi) for x in xs]
+        idx = self._index
+        if self._pads is not None:
+            pads = self._pads
+            right, left = self.elements[gi], pads[g]
+            return [idx[right.translate(pads[x]).translate(left)] for x in xs]
+        els = self.elements
+        gp, gip = els[g], els[gi]
+        return [idx[compose(gp, compose(els[x], gip))] for x in xs]
+
     def conjugation_map(self, g: int):
         """Array m with m[x] = g x g^{-1}."""
-        gi = self.inv(g)
-        mul = self.mul
-        return array("i", [mul(self.mul(g, x), gi) for x in range(self.size)])
+        return array("i", self.conjugates(g, range(self.size)))
+
+    def generator_conjugation_maps(self) -> list:
+        """The conjugation maps of ``generators()``, built once."""
+        if self._conj_maps is None:
+            self._conj_maps = [self.conjugation_map(g) for g in self.generators()]
+        return self._conj_maps
 
     def conj_classes(self):
         """Conjugacy classes under the whole group, via the generators."""
         if self._classes is None:
-            maps = [self.conjugation_map(g) for g in self.generators()]
+            maps = self.generator_conjugation_maps()
             class_of = array("i", [-1]) * self.size
             classes = []
             for i in range(self.size):
@@ -237,10 +281,6 @@ class GroupView:
             self._class_of = class_of
         return self._classes
 
-    def class_of(self):
-        self.conj_classes()
-        return self._class_of
-
     def fingerprints(self):
         """Per-element invariant (order, conjugacy class size), preserved by
         any isomorphism between whole groups."""
@@ -257,17 +297,10 @@ class GroupView:
     # -- structural helpers -----------------------------------------------
 
     def centralizer_elements(self, x: int) -> list[int]:
-        mul = self.mul
-        return [g for g in range(self.size) if mul(g, x) == mul(x, g)]
+        return [g for g, y in enumerate(self.conjugates(x, range(self.size))) if g == y]
 
     def center_size(self) -> int:
-        mul = self.mul
-        gens = self.generators()
-        count = 0
-        for x in range(self.size):
-            if all(mul(g, x) == mul(x, g) for g in gens):
-                count += 1
-        return count
+        return sum(1 for c in self.conj_classes() if len(c) == 1)
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
@@ -283,11 +316,7 @@ class GroupView:
         while True:
             extra = set()
             for g in gens:
-                gi = self.inv(g)
-                for x in current:
-                    y = self.mul(self.mul(g, x), gi)
-                    if y not in current:
-                        extra.add(y)
+                extra.update(y for y in self.conjugates(g, current) if y not in current)
             if not extra:
                 return current
             current = self.closure(set(current) | extra)
@@ -323,13 +352,9 @@ class GroupView:
         return self._invariant
 
 
-_VIEW_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def view_of(G) -> GroupView:
-    """Cached GroupView for an immutable PermGroup."""
-    v = _VIEW_CACHE.get(G)
+    """The GroupView of an immutable PermGroup, built once and kept on it."""
+    v = G._view
     if v is None:
-        v = GroupView.from_perm_group(G)
-        _VIEW_CACHE[G] = v
+        v = G._view = GroupView.from_perm_group(G)
     return v

@@ -404,8 +404,3 @@ def regular_representation(N: AbstractGroup) -> PermGroup:
     """Left translations of N acting on its own elements; point 0 = identity."""
     gens = [make_perm(N.table[a]) for a in _generating_indices(N)]
     return PermGroup(max(N.order, 1), gens)
-
-
-def regular_element(N: AbstractGroup, a: int):
-    """The left-translation permutation of the element a."""
-    return make_perm(N.table[a])

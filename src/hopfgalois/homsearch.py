@@ -7,6 +7,12 @@ candidate image tuples via a precomputed word schedule: every element of
 the partial subgroup is written once as ``gen * earlier_element`` and all
 remaining Cayley edges become consistency checks, interleaved in discovery
 order so a bad candidate dies on its first inconsistent edge.
+
+A generator's candidate images are the target elements with its
+fingerprint, (order, conjugacy class size), in index order.  When every
+isomorphism sought is conjugation by a bijection of the points, the
+element's cycle type joins the fingerprint; this drops only images no such
+map can use, so the search meets its solutions in the same order.
 """
 
 from __future__ import annotations
@@ -69,9 +75,12 @@ def _adapted_generators(view: GroupView, sub: frozenset | None):
     return gens, cut
 
 
-def _candidate_pools(A: GroupView, B: GroupView, gens, cut, sub_b):
+def _candidate_pools(A: GroupView, B: GroupView, gens, cut, sub_b, by_cycle_type):
     fps_a = A.fingerprints()
     fps_b = B.fingerprints()
+    if by_cycle_type:
+        fps_a = list(zip(fps_a, A.cycle_types()))
+        fps_b = list(zip(fps_b, B.cycle_types()))
     buckets = {}
     for j in range(B.size):
         buckets.setdefault(fps_b[j], []).append(j)
@@ -91,12 +100,16 @@ def isomorphisms(
     sub_a: frozenset | None = None,
     sub_b: frozenset | None = None,
     first_only: bool = True,
+    by_cycle_type: bool = False,
 ):
     """Yield isomorphisms A -> B as ``(gens, gen_images, full_map)``.
 
     ``full_map`` maps every A-index to its B-index.  With ``sub_a``/
     ``sub_b`` given, only isomorphisms carrying sub_a onto sub_b are
     produced (sub_a must be a subgroup of A, sub_b of B).
+    ``by_cycle_type`` (permutation-backed views of one degree) asserts that
+    every isomorphism sought preserves cycle types, and narrows the
+    candidate images accordingly.
     """
     if A.size != B.size:
         return
@@ -109,7 +122,7 @@ def isomorphisms(
         return
     gens, cut = _adapted_generators(A, sub_a)
     schedules = [_Schedule(A, gens[: t + 1], A.identity) for t in range(len(gens))]
-    pools = _candidate_pools(A, B, gens, cut, sub_b)
+    pools = _candidate_pools(A, B, gens, cut, sub_b, by_cycle_type)
     if any(not p for p in pools):
         return
     depth = len(gens)

@@ -4,6 +4,12 @@ A pair (G, G') is isomorphic to (M, M') when some abstract isomorphism
 G -> M carries G' onto M'.  The search adapts the generating sequence to
 the designated subgroup, so the constraint prunes instead of multiplying
 work; every returned witness is re-verified by replay.
+
+When both pairs are (transitive group, stabilizer of point 0) on one
+degree, every pair isomorphism is conjugation by a bijection of the points
+(the two actions are equivalent to the actions on the cosets of the
+stabilizers), so it preserves cycle types: each generator's candidate
+images share its cycle type.
 """
 
 from __future__ import annotations
@@ -51,6 +57,16 @@ def _subgroup_indices(view, H: PermGroup) -> frozenset:
         return frozenset(view._index[h] for h in H.elements())
     except KeyError:
         raise PreconditionError("designated subgroup is not contained in its parent") from None
+
+
+def is_point_stabilizer_pair(G: PermGroup, G_sub: PermGroup) -> bool:
+    """Whether G is transitive and G_sub is its stabilizer of point 0."""
+    return (
+        all(g[0] == 0 for g in G_sub.generators)
+        and G_sub.order() * G.degree == G.order()
+        and G.is_transitive()
+        and G_sub.is_subgroup_of(G)
+    )
 
 
 def _witness_from(va, vb, gens, images) -> PairWitness:
@@ -105,12 +121,17 @@ def pair_isomorphic(
     va, vb = _bounded_views(G, M, max_order)
     sub_a = _subgroup_indices(va, G_sub)
     sub_b = _subgroup_indices(vb, M_sub)
+    by_cycle_type = (
+        G.degree == M.degree
+        and is_point_stabilizer_pair(G, G_sub)
+        and is_point_stabilizer_pair(M, M_sub)
+    )
     if va.invariant_vector() != vb.invariant_vector():
         return None
     if va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b):
         return None
     for gens, images, full in isomorphisms(
-        va, vb, sub_a=sub_a, sub_b=sub_b, first_only=True
+        va, vb, sub_a=sub_a, sub_b=sub_b, first_only=True, by_cycle_type=by_cycle_type
     ):
         if not _replay_verifies(va, vb, full, sub_a, sub_b):
             raise PreconditionError("pair isomorphism replay failed")

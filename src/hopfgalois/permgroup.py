@@ -117,7 +117,7 @@ def _build_chain(degree, gens):
 class PermGroup:
     """An immutable permutation group on ``degree`` points."""
 
-    __slots__ = ("degree", "generators", "_levels", "_order", "_elements", "__weakref__")
+    __slots__ = ("degree", "generators", "_levels", "_order", "_elements", "_view")
 
     def __init__(self, degree, generators=()):
         if degree < 1:
@@ -141,6 +141,7 @@ class PermGroup:
             order *= len(lvl.transversal)
         self._order = order
         self._elements = None
+        self._view = None  # engine.view_of
 
     # -- basic queries -------------------------------------------------
 
@@ -417,7 +418,6 @@ class CosetActionResult:
     point_of_identity_coset: int
     _coset_of: dict = field(repr=False)
     _reps: list = field(repr=False)
-    _gen_images: dict = field(repr=False)
 
     def image_of_element(self, x):
         """The permutation of cosets induced by x (x must lie in G)."""
@@ -447,18 +447,13 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetActionResult:
     index = len(reps)
     if index * H.order() != G.order():
         raise PreconditionError("coset enumeration mismatch; H is not a subgroup of G")
-    gen_images = {}
-    image_gens = []
-    for g in G.generators:
-        img = make_perm([coset_of[compose(g, r)] for r in reps])
-        gen_images[g] = img
-        image_gens.append(img)
+    image_gens = [make_perm([coset_of[compose(g, r)] for r in reps]) for g in G.generators]
     image = PermGroup(max(index, 1), image_gens)
     kernel_els = [
         h for h in h_elements if all(coset_of[compose(h, r)] == i for i, r in enumerate(reps))
     ]
     kernel = group_from_elements(degree, kernel_els)
-    return CosetActionResult(image, kernel, 0, coset_of, reps, gen_images)
+    return CosetActionResult(image, kernel, 0, coset_of, reps)
 
 
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):

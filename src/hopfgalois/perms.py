@@ -80,6 +80,11 @@ def perm_order(p) -> int:
     return order
 
 
+def cycle_type(p) -> tuple[int, ...]:
+    """Lengths of the nontrivial cycles, ascending."""
+    return tuple(sorted(len(c) for c in cycle_decomposition(p)))
+
+
 def cycle_decomposition(p) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its least point, sorted."""
     n = len(p)
@@ -155,7 +160,3 @@ def parse_perm(text: str, degree: int | None = None):
         images[pts[-1]] = pts[0]
         result = compose(make_perm(images), result)
     return result
-
-
-def perm_to_list(p) -> list[int]:
-    return list(p)

@@ -4,10 +4,12 @@ The pipeline enumerates, per degree n, the transitive subgroups G of every
 holomorph Hol(N) with |N| = n up to conjugacy.  For one catalogue entry it
 then walks the conjugacy classes of index-n subgroups H <= G, forms the
 faithful transitive quotient pair (G/C, H/C) with C the normal core, and
-scans the catalogue for a pair-isomorphic entry.  An entry with some H
-admitting no match anywhere exhibits the parallel no-HGS property; a
-degree is summarized by its total class count and the number of such
-entries.
+scans the catalogue for a pair-isomorphic entry.  Both sides of such a
+test are transitive groups with the stabilizer of point 0, so only entries
+with the quotient's cycle-type key are tested (see ``_cycle_key``).  An
+entry with some H admitting no match anywhere exhibits the parallel no-HGS
+property; a degree is summarized by its total class count and the number
+of such entries.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ import math
 from dataclasses import dataclass
 
 from . import cache as cachemod
+from .engine import view_of
 from .errors import PreconditionError, ResourceLimitError
 from .groups import groups_of_order
 from .holomorph import holomorph
-from .isomorphism import PairWitness, pair_isomorphic, permutation_pair_of_quotient
+from .isomorphism import (
+    PairWitness,
+    is_point_stabilizer_pair,
+    pair_isomorphic,
+    permutation_pair_of_quotient,
+)
 from .permgroup import PermGroup, normal_core
 from .subgroups import (
     DEFAULT_MAX_ORDER,
@@ -171,6 +179,15 @@ def _match_candidates(catalogue, order):
     return [e for e in catalogue if e.order == order]
 
 
+def _cycle_key(G: PermGroup) -> tuple:
+    """The multiset of element cycle types of a transitive G.
+
+    Pairs (G, Stab_G(0)) and (M, Stab_M(0)) are isomorphic only through
+    conjugation by a bijection of the points, so only when their keys agree.
+    """
+    return view_of(G).cycle_type_multiset()
+
+
 def analyze_parallel(
     entry: CatalogueEntry,
     catalogue: list[CatalogueEntry],
@@ -196,12 +213,16 @@ def analyze_parallel(
                 )
             )
             continue
-        core = normal_core(G, H)
+        # J acts transitively on the cosets of H, and J_sub fixes H's coset 0
         J, J_sub = permutation_pair_of_quotient(G, H)
+        key = _cycle_key(J)
         match = None
         scanned = []
         for cand in _match_candidates(catalogue, J.order()):
+            # an entry with another key is scanned and ruled out untested
             scanned.append(cand.entry_id)
+            if _cycle_key(cand.group) != key:
+                continue
             witness = pair_isomorphic(J, J_sub, cand.group, cand.stabilizer)
             if witness is not None:
                 match = MatchResult(cand.entry_id, witness)
@@ -213,7 +234,7 @@ def analyze_parallel(
             ParallelReport(
                 entry.entry_id,
                 cls,
-                core.order(),
+                G.order() // J.order(),
                 n,
                 match,
                 match is None,
@@ -304,19 +325,23 @@ def hgs_types_admitted(
 ) -> set:
     """Labels of the types N whose catalogue holds a pair-isomorphic entry.
 
-    The pair is first replaced by its faithful transitive quotient when the
-    designated subgroup has nontrivial core.
+    Unless it already is a transitive group with the stabilizer of point 0,
+    the pair is first replaced by its faithful transitive quotient, which is
+    one and is pair-isomorphic to it when the designated subgroup has
+    trivial core.
     """
-    core = normal_core(G, G_sub)
-    if core.order() != 1:
+    if not is_point_stabilizer_pair(G, G_sub):
         G, G_sub = permutation_pair_of_quotient(G, G_sub)
     if catalogue is None:
         catalogue = build_catalogue(n, max_order=max_order)
+    key = _cycle_key(G)
     out = set()
     for cand in catalogue:
         if cand.order != G.order():
             continue
         if cand.type_label in out:
+            continue
+        if _cycle_key(cand.group) != key:
             continue
         if pair_isomorphic(G, G_sub, cand.group, cand.stabilizer) is not None:
             out.add(cand.type_label)

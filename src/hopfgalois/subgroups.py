@@ -69,8 +69,7 @@ class _Lattice:
         self.target = order_divides if order_divides else self.size
         if self.size % self.target != 0:
             raise PreconditionError("order_divides must divide |G|")
-        gens = self.view.generators() if self.view._gens is None else self.view._gens
-        self.conj_maps = [self.view.conjugation_map(g) for g in gens]
+        self.conj_maps = self.view.generator_conjugation_maps()
         self.seen: dict[frozenset, int] = {}
         self.classes: list[dict] = []
         self.worklist: list[int] = []
@@ -302,8 +301,7 @@ def class_key_of(G: PermGroup, H: PermGroup) -> tuple:
         start = frozenset(view._index[h] for h in H.elements())
     except KeyError:
         raise PreconditionError("H is not contained in G") from None
-    gens = view._gens if view._gens is not None else view.generators()
-    maps = [view.conjugation_map(g) for g in gens]
+    maps = view.generator_conjugation_maps()
     seen = {start}
     orbit = [start]
     pos = 0

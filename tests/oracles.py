@@ -203,3 +203,62 @@ def _extend_hom(gens, images, gels, degree):
             if phi[compose(g, x)] != compose(pairs[g], phi[x]):
                 return None
     return phi
+
+
+# -- the matching scan before keyed lookup ----------------------------------
+#
+# Unlike the oracles above this one runs the package's lattice and
+# backtracking engine: it is the slow path that analyze_parallel replaced,
+# kept as its reference.  Every same-order catalogue entry is pair-tested in
+# catalogue order, and candidate images are chosen by (element order,
+# conjugacy class size) alone.
+
+
+def same_order_scan(entry, catalogue):
+    """Per index-n class of the entry, in analyze_parallel's order:
+    (core order, matched entry id or None, witness mapping or None,
+    no_hgs, scanned entry ids)."""
+    from hopfgalois.isomorphism import permutation_pair_of_quotient
+    from hopfgalois.permgroup import normal_core
+    from hopfgalois.subgroups import class_key_of, index_n_subgroup_classes
+
+    G = entry.group
+    stab_key = class_key_of(G, entry.stabilizer)
+    out = []
+    for cls in index_n_subgroup_classes(G, entry.degree):
+        H = cls.representative
+        if cls.key == stab_key:
+            identity_map = tuple((g, g) for g in G.generators)
+            out.append((1, entry.entry_id, identity_map, False, (entry.entry_id,)))
+            continue
+        core = normal_core(G, H).order()
+        J, J_sub = permutation_pair_of_quotient(G, H)
+        same = [e for e in catalogue if e.order == J.order()]
+        for k, cand in enumerate(same):
+            mapping = _fingerprint_pair_witness(J, J_sub, cand.group, cand.stabilizer)
+            if mapping is not None:
+                scanned = tuple(e.entry_id for e in same[: k + 1])
+                out.append((core, cand.entry_id, mapping, False, scanned))
+                break
+        else:
+            out.append((core, None, None, True, tuple(e.entry_id for e in same)))
+    return out
+
+
+def _fingerprint_pair_witness(G, G_sub, M, M_sub):
+    """The first pair isomorphism found with (order, class size) candidates."""
+    from hopfgalois.engine import view_of
+    from hopfgalois.homsearch import isomorphisms
+
+    if G.order() != M.order() or G_sub.order() != M_sub.order():
+        return None
+    va, vb = view_of(G), view_of(M)
+    sub_a = frozenset(va._index[h] for h in G_sub.elements())
+    sub_b = frozenset(vb._index[h] for h in M_sub.elements())
+    if va.invariant_vector() != vb.invariant_vector():
+        return None
+    if va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b):
+        return None
+    for gens, images, _ in isomorphisms(va, vb, sub_a=sub_a, sub_b=sub_b):
+        return tuple((va.elements[g], vb.elements[h]) for g, h in zip(gens, images))
+    return None

@@ -3,6 +3,7 @@ import pytest
 from hopfgalois.groups import groups_of_order, regular_representation
 from hopfgalois.isomorphism import (
     find_isomorphism,
+    is_point_stabilizer_pair,
     pair_isomorphic,
     permutation_pair_of_quotient,
 )
@@ -166,3 +167,51 @@ def test_quotient_pair_whole_group():
     s3 = S3()
     J, J_sub = permutation_pair_of_quotient(s3, s3)
     assert J.degree == 1 and J.order() == 1
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_pair_agrees_with_bruteforce_on_catalogue_pairs(n):
+    """Every ordered pair of catalogue entries (M, Stab_M(0)): both sides
+    are point-stabilizer pairs, so the cycle-type candidates apply."""
+    from hopfgalois.pipeline import build_catalogue
+
+    cat = build_catalogue(n)
+    for a in cat:
+        for b in cat:
+            assert is_point_stabilizer_pair(a.group, a.stabilizer)
+            fast = pair_isomorphic(a.group, a.stabilizer, b.group, b.stabilizer)
+            brute = brute_pair_isomorphisms(a.group, a.stabilizer, b.group, b.stabilizer)
+            assert (fast is not None) == bool(brute), (n, a.entry_id, b.entry_id)
+
+
+def _pair(degree, gens, sub):
+    return (PermGroup(degree, [parse_perm(g, degree) for g in gens]),
+            PermGroup(degree, [parse_perm(g, degree) for g in sub]))
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        # Sym(3) regular on 6 points, a stabilizer pair, against Sym(3)
+        # acting on two copies of 3 points, which is intransitive: the pairs
+        # are isomorphic though no element keeps its cycle type
+        ((6, ["(0 1 2)(3 4 5)", "(0 3)(1 5)(2 4)"], []),
+         (6, ["(0 1 2)(3 4 5)", "(0 1)(3 4)"], [])),
+        # Sym(3) on 3 points: Stab(0) against the conjugate Stab(2)
+        ((3, ["(0 1 2)", "(0 1)"], ["(1 2)"]), (3, ["(0 1 2)", "(0 1)"], ["(0 1)"])),
+        # D4 on 4 points: Stab(0) against a subgroup of order 2 without fixed points
+        ((4, ["(0 1 2 3)", "(1 3)"], ["(1 3)"]), (4, ["(0 1 2 3)", "(1 3)"], ["(0 1)(2 3)"])),
+        ((4, ["(0 1 2 3)", "(1 3)"], ["(1 3)"]), (4, ["(0 1 2 3)", "(1 3)"], ["(0 2)(1 3)"])),
+    ],
+)
+def test_pair_with_one_point_stabilizer_side(left, right):
+    """Where only one side is (transitive group, Stab(0)) the candidates
+    stay (order, class size), and the answer is the brute-force one."""
+    G, G_sub = _pair(*left)
+    M, M_sub = _pair(*right)
+    assert is_point_stabilizer_pair(G, G_sub)
+    assert not is_point_stabilizer_pair(M, M_sub)
+    for args in ((G, G_sub, M, M_sub), (M, M_sub, G, G_sub)):
+        fast = pair_isomorphic(*args)
+        assert (fast is not None) == bool(brute_pair_isomorphisms(*args))
+        assert fast is None or _witness_is_sound(fast, args[0], args[2])

@@ -5,7 +5,7 @@ import pytest
 from hopfgalois import cache, pipeline
 from hopfgalois.cli import main
 from hopfgalois.errors import PreconditionError
-from hopfgalois.permgroup import normal_core
+from hopfgalois.permgroup import PermGroup, normal_core
 from hopfgalois.pipeline import (
     analyze_parallel,
     build_catalogue,
@@ -276,3 +276,57 @@ def test_chained_extension_arithmetic():
     # too-small primes are rejected
     with pytest.raises(PreconditionError):
         _extend_arithmetic(first, 31)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_analyze_parallel_equals_same_order_scan(n):
+    """Keyed lookup and cycle-type candidates find the match and witness
+    the full same-order scan finds; a no-HGS report still lists every
+    same-order entry."""
+    from oracles import same_order_scan
+
+    catalogue = build_catalogue(n)
+    for entry in catalogue:
+        reports = analyze_parallel(entry, catalogue)
+        expected = same_order_scan(entry, catalogue)
+        assert len(reports) == len(expected)
+        for rep, (core, match_id, mapping, no_hgs, scanned) in zip(reports, expected):
+            where = (n, entry.entry_id, rep.h_class.key)
+            assert rep.core_order == core, where
+            assert rep.no_hgs == no_hgs, where
+            if no_hgs:
+                assert rep.match is None and rep.scanned == scanned, where
+            else:
+                assert rep.match.entry_id == match_id, where
+                assert rep.match.witness.mapping == mapping, where
+
+
+def test_hgs_types_admitted_uses_the_quotient():
+    """A pair with nontrivial core is answered through its quotient, and a
+    pair given on other points than the catalogue's gets the same types."""
+    from hopfgalois.isomorphism import permutation_pair_of_quotient
+
+    cat = build_catalogue(4)
+    d4 = next(e for e in cat if e.order == 8)
+    expected = hgs_types_admitted(d4.group, d4.stabilizer, 4, cat)
+    assert expected
+
+    def lift(group):
+        return [bytes(list(g) + [x + 4 for x in g]) for g in group.generators]
+
+    # D4 acting on two copies of its points: trivial core, not a point stabilizer
+    G = PermGroup(8, lift(d4.group))
+    H = PermGroup(8, lift(d4.stabilizer))
+    assert G.order() == 8 and permutation_pair_of_quotient(G, H)[0].order() == 8
+    assert hgs_types_admitted(G, H, 4, cat) == expected
+    # D4 x C2, the central C2 swapping the copies inside the designated subgroup
+    swap = bytes([4, 5, 6, 7, 0, 1, 2, 3])
+    G = PermGroup(8, lift(d4.group) + [swap])
+    H = PermGroup(8, lift(d4.stabilizer) + [swap])
+    assert G.order() // permutation_pair_of_quotient(G, H)[0].order() == 2
+    assert hgs_types_admitted(G, H, 4, cat) == expected
+    # a subgroup of Sym(4) fixing 0 of the stabilizer's order, but not in
+    # D4, is refused even when no catalogue entry is left to test against
+    outside = PermGroup(4, [bytes([0, 2, 1, 3])])
+    with pytest.raises(PreconditionError):
+        hgs_types_admitted(d4.group, outside, 4, [e for e in cat if e.order != 8])
