@@ -17,7 +17,7 @@ import math
 from array import array
 from collections import Counter
 
-from .perms import compose, cycle_type, inverse, pad256
+from .perms import compose, cycle_length_at, cycle_type, inverse, pad256, power
 
 CAYLEY_LIMIT = 2048
 
@@ -41,6 +41,9 @@ class GroupView:
         "_cycle_types",
         "_cycle_multiset",
         "_invariant",
+        "_powers",
+        "_point_pools",
+        "_pool_reps",
     )
 
     def __init__(self):
@@ -61,6 +64,9 @@ class GroupView:
         self._cycle_types = None
         self._cycle_multiset = None
         self._invariant = None
+        self._powers = None
+        self._point_pools = None
+        self._pool_reps = None
 
     # -- constructors ----------------------------------------------------
 
@@ -137,19 +143,6 @@ class GroupView:
         invs[i] = v
         return v
 
-    def pow(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(i), -k)
-        result = self.identity
-        base = i
-        while k:
-            if k & 1:
-                result = self.mul(base, result)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result
-
     def element_orders(self):
         if self._orders is None:
             if self.elements is not None:
@@ -176,6 +169,61 @@ class GroupView:
                 interned.setdefault(t, t) for t in map(cycle_type, self.elements)
             ]
         return self._cycle_types
+
+    def power_map(self, p: int):
+        """Array m with m[x] = x^p, built once per exponent; permutation-backed
+        views take the powers of the permutations, so no Cayley row is built."""
+        if self._powers is None:
+            self._powers = {}
+        m = self._powers.get(p)
+        if m is None:
+            if self.elements is None:
+                m = array("i", range(self.size))
+                for _ in range(p - 1):
+                    m = array("i", [self.mul(x, y) for x, y in enumerate(m)])
+            else:
+                idx = self._index
+                m = array("i", [idx[power(x, p)] for x in self.elements])
+            self._powers[p] = m
+        return m
+
+    def point_pools(self) -> dict:
+        """(cycle type, length of the cycle through point 0) -> image of
+        point 0 -> the elements with both, ascending (permutation-backed
+        views only)."""
+        if self._point_pools is None:
+            pools = self._point_pools = {}
+            for i, (t, x) in enumerate(zip(self.cycle_types(), self.elements)):
+                pool = pools.setdefault((t, cycle_length_at(x, 0)), {})
+                pool.setdefault(x[0], []).append(i)
+        return self._point_pools
+
+    def point_pool_reps(self, key, stab_gens) -> list:
+        """One element of each orbit of ``point_pools()[key]`` under conjugation
+        by ``stab_gens``, which must generate the stabilizer of point 0 (each
+        view has one, so the result is cached per key)."""
+        if self._pool_reps is None:
+            self._pool_reps = {}
+        reps = self._pool_reps.get(key)
+        if reps is None:
+            pool = [x for group in self.point_pools()[key].values() for x in group]
+            maps = [dict(zip(pool, self.conjugates(h, pool))) for h in stab_gens]
+            seen = set()
+            reps = []
+            for x in pool:
+                if x in seen:
+                    continue
+                reps.append(x)
+                seen.add(x)
+                orbit = [x]
+                for y in orbit:
+                    for m in maps:
+                        z = m[y]
+                        if z not in seen:
+                            seen.add(z)
+                            orbit.append(z)
+            self._pool_reps[key] = reps
+        return reps
 
     def cycle_type_multiset(self) -> tuple:
         """Sorted (cycle type, count) pairs over all elements: equal for

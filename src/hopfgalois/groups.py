@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._numtheory import divisors, factorize
 from .engine import GroupView
 from .errors import PreconditionError, UnsupportedOrderError
 from .homsearch import automorphisms, isomorphisms
@@ -227,7 +228,7 @@ def _abelian_groups(n: int) -> list[AbstractGroup]:
                 if not rest or first >= rest[0]:
                     yield (first,) + rest
 
-    factors = _factorize(n)
+    factors = factorize(n)
     per_prime = []
     for p, a in factors:
         per_prime.append([(p, part) for part in partitions(a)])
@@ -248,27 +249,6 @@ def _abelian_groups(n: int) -> list[AbstractGroup]:
     return out
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        else:
-            d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _multiplicative_order(k: int, e: int) -> int:
     if math.gcd(k, e) != 1:
         return 0
@@ -284,7 +264,7 @@ def squarefree_groups(n: int) -> list[AbstractGroup]:
     if not is_squarefree(n):
         raise PreconditionError(f"{n} is not squarefree")
     candidates = [metacyclic(n, 1, 1)]
-    for d in _divisors(n):
+    for d in divisors(n):
         if d == 1:
             continue
         e = n // d
@@ -328,7 +308,7 @@ def _map_order(phim: tuple) -> int:
 
 def _special_candidates(n: int) -> list[AbstractGroup]:
     candidates = list(_abelian_groups(n))
-    for d in _divisors(n):
+    for d in divisors(n):
         if d == 1 or d == n:
             continue
         m = n // d

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._numtheory import factorize, primitive_root
 from .engine import GroupView
 from .errors import PreconditionError, ResourceLimitError
 from .groups import AbstractGroup
@@ -112,29 +113,12 @@ def _regular_group(N: AbstractGroup) -> PermGroup:
 
 
 def _prime_set(n: int) -> set[int]:
-    return {p for p, _ in _factorize(n)}
-
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        else:
-            d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    return {p for p, _ in factorize(n)}
 
 
 def _pi_part(m: int, primes: set[int]) -> int:
     out = 1
-    for p, a in _factorize(m):
+    for p, a in factorize(m):
         if p in primes:
             out *= p**a
     return out
@@ -233,8 +217,8 @@ def _is_squarefree(n: int) -> bool:
 def _pi_part_unit_generators(e: int, primes: set[int]) -> list[int]:
     """Generators of the Hall pi-part of (Z/e)* for squarefree e, via CRT."""
     out = []
-    for p, _ in _factorize(e):
-        root = _primitive_root(p)
+    for p, _ in factorize(e):
+        root = primitive_root(p)
         target = _pi_part(p - 1, primes)
         if target == 1:
             continue
@@ -246,8 +230,8 @@ def _pi_part_unit_generators(e: int, primes: set[int]) -> list[int]:
 
 def _pi_prime_part_unit_generators(e: int, primes: set[int]) -> list[int]:
     out = []
-    for p, _ in _factorize(e):
-        root = _primitive_root(p)
+    for p, _ in factorize(e):
+        root = primitive_root(p)
         target = (p - 1) // _pi_part(p - 1, primes)
         if target == 1:
             continue
@@ -255,16 +239,6 @@ def _pi_prime_part_unit_generators(e: int, primes: set[int]) -> list[int]:
         val = pow(root, exp, p)
         out.append(_crt_lift(val, p, e))
     return out
-
-
-def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = [q for q, _ in _factorize(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise PreconditionError(f"no primitive root mod {p}")
 
 
 def _crt_lift(val: int, p: int, e: int) -> int:

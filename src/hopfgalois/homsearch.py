@@ -12,7 +12,10 @@ A generator's candidate images are the target elements with its
 fingerprint, (order, conjugacy class size), in index order.  When every
 isomorphism sought is conjugation by a bijection of the points, the
 element's cycle type joins the fingerprint; this drops only images no such
-map can use, so the search meets its solutions in the same order.
+map can use, so the search meets its solutions in the same order.  Such
+searches are run only once ``isomorphism.point_map`` has found that a map
+exists, to produce the witness: negative tests between two point-stabilizer
+pairs never reach this module.
 """
 
 from __future__ import annotations

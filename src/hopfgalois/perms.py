@@ -85,6 +85,15 @@ def cycle_type(p) -> tuple[int, ...]:
     return tuple(sorted(len(c) for c in cycle_decomposition(p)))
 
 
+def cycle_length_at(p, x: int) -> int:
+    """Length of the cycle of ``p`` through point ``x`` (1 if x is fixed)."""
+    k, y = 1, p[x]
+    while y != x:
+        y = p[y]
+        k += 1
+    return k
+
+
 def cycle_decomposition(p) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its least point, sorted."""
     n = len(p)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import cache as cachemod
+from ._numtheory import is_prime
 from .engine import view_of
 from .errors import PreconditionError, ResourceLimitError
 from .groups import groups_of_order
@@ -351,28 +352,13 @@ def hgs_types_admitted(
 # -- infinite families -----------------------------------------------------
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def find_extension_prime(n: int, lower: int, *, cap: int = 1_000_000) -> int:
     """Least prime q > max(lower, n) with gcd(q-1, n) = 1, by trial search."""
     if n < 3 or n % 2 == 0:
         raise PreconditionError("extension primes are defined for odd n >= 3")
     q = max(lower, n) + 1
     while q <= cap:
-        if _is_prime(q) and math.gcd(q - 1, n) == 1:
+        if is_prime(q) and math.gcd(q - 1, n) == 1:
             return q
         q += 1
     raise ResourceLimitError(f"no extension prime below {cap} for n = {n}")
@@ -449,7 +435,7 @@ def extend_family(
         raise PreconditionError("extend_family needs a no-HGS witness report for the entry")
     ok = True
     ok &= check("odd_degree", f"n = {n} is odd", n % 2 == 1 and n >= 3)
-    ok &= check("prime", f"q = {q} is prime", _is_prime(q))
+    ok &= check("prime", f"q = {q} is prime", is_prime(q))
     ok &= check("gcd", f"gcd(q-1, n) = gcd({q - 1}, {n}) = 1", math.gcd(q - 1, n) == 1)
     ok &= check("q_exceeds_n", f"q = {q} > n = {n}", q > n)
     if base_aut_orders is None:
@@ -527,7 +513,7 @@ def _extend_arithmetic(prev: ExtensionCertificate, q: int) -> ExtensionCertifica
         return ok
 
     ok = True
-    ok &= check("prime", f"q = {q} is prime", _is_prime(q))
+    ok &= check("prime", f"q = {q} is prime", is_prime(q))
     ok &= check("gcd", f"gcd(q-1, m) = gcd({q - 1}, {m}) = 1", math.gcd(q - 1, m) == 1)
     ok &= check("q_exceeds_m", f"q = {q} > m = {m}", q > m)
     for i, a in enumerate(prev.aut_orders):

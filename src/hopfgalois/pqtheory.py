@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._numtheory import divisors, is_prime, primitive_root
 from .errors import PreconditionError, VerificationError
 from .groups import AbstractGroup, groups_of_order
 from .holomorph import Holomorph, automorphism_from_images, holomorph
@@ -26,17 +27,6 @@ from .isomorphism import pair_isomorphic
 from .permgroup import PermGroup
 from .perms import compose, make_perm
 from .subgroups import all_subgroup_classes, class_key_of, classify_index_n
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _mult_order(a: int, m: int) -> int:
@@ -75,7 +65,7 @@ class PqParameters:
 
 
 def pq_parameters(p: int, q: int) -> PqParameters:
-    if p <= q or q < 3 or not _is_prime(p) or not _is_prime(q) or p % 2 == 0 or q % 2 == 0:
+    if p <= q or q < 3 or not is_prime(p) or not is_prime(q) or p % 2 == 0 or q % 2 == 0:
         raise PreconditionError("need odd primes p > q")
     e0 = 0
     m = p - 1
@@ -137,14 +127,14 @@ def cyclic_type_transitive_subgroups(params: PqParameters):
     if e0 > 0:
         a_alpha = _least_of_order(q**e0, p)
         alpha_m = _crt(a_alpha, p, 1, q)
-        sigma_aut_gen = _crt(_primitive_root(p), p, 1, q)
+        sigma_aut_gen = _crt(primitive_root(p), p, 1, q)
         for c in range(1, e0 + 1):
             for t in range(1, q**c):
                 if t % q == 0:
                     continue
                 twist = aut_map(pow(alpha_m, t * q ** (e0 - c), n))
                 j_gens = [lam(sigma), compose(lam(tau), twist)]
-                for m_div in _divisors(p - 1):
+                for m_div in divisors(p - 1):
                     # Y = the order-m_div subgroup of Aut(<sigma>); alpha not in Y
                     if m_div % q**e0 == 0:
                         continue
@@ -154,14 +144,6 @@ def cyclic_type_transitive_subgroups(params: PqParameters):
                         (G, "JtcY", {"t": t, "c": c, "Y_order": m_div})
                     )
     return _dedup_in_holomorph(hol, built)
-
-
-def _primitive_root(p: int) -> int:
-    return _least_of_order(p - 1, p)
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _dedup_in_holomorph(hol: Holomorph, built):
@@ -227,7 +209,7 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
     from .perms import power as perm_power
 
     for c in range(0, e0 + 1):
-        for d in _divisors(s):
+        for d in divisors(s):
             gens = [E1, E2, T]
             if c > 0:
                 gens.append(perm_power(A, q ** (e0 - c)))
@@ -241,7 +223,7 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
                 )
             built.append((G, "P:TAB", {"c": c, "d": d}))
     for c in range(1, e0 + 1):
-        for d in _divisors(s):
+        for d in divisors(s):
             for u in range(1, q**c):
                 if u % q == 0:
                     continue

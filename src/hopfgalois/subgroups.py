@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._numtheory import factorize
 from .engine import view_of
 from .errors import PreconditionError, ResourceLimitError
 from .permgroup import PermGroup
@@ -33,27 +34,12 @@ class SubgroupClass:
     key: tuple = field(repr=False, compare=False)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        else:
-            d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _order_forces_solvable(n: int) -> bool:
     """True when every group of order n is solvable: n < 60, n not divisible
     by 4 (odd-order and 2*odd groups are solvable), or n = p^a q^b."""
     if n < 60 or n % 4 != 0:
         return True
-    return len(_prime_factors(n)) < 3
+    return len(factorize(n)) < 3
 
 
 class _Lattice:
@@ -185,9 +171,7 @@ class _Lattice:
         self.seed()
         view = self.view
         mul = view.mul
-        inv = view.inv
         orders = view.element_orders()
-        pow_ = view.pow
         while self.worklist:
             cid = self.worklist.pop()
             rec = self.classes[cid]
@@ -195,7 +179,7 @@ class _Lattice:
             u_order = rec["order"]
             allowed = [
                 p
-                for p in _prime_factors(self.size // u_order)
+                for p, _ in factorize(self.size // u_order)
                 if self.target % (u_order * p) == 0
             ]
             if not allowed:
@@ -214,13 +198,12 @@ class _Lattice:
                 for p in allowed:
                     if u_order % (o // (p if o % p == 0 else 1)) != 0:
                         continue
-                    if pow_(g, p) in U:
+                    if view.power_map(p)[g] in U:
                         ext_prime = p
                         break
                 if ext_prime is None:
                     continue
-                gi = inv(g)
-                if any(mul(mul(g, u), gi) not in U for u in u_gens):
+                if any(x not in U for x in view.conjugates(g, u_gens)):
                     continue
                 new_els = set(U)
                 coset = [mul(u, g) for u in U]

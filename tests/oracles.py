@@ -245,8 +245,9 @@ def same_order_scan(entry, catalogue):
     return out
 
 
-def _fingerprint_pair_witness(G, G_sub, M, M_sub):
-    """The first pair isomorphism found with (order, class size) candidates."""
+def _fingerprint_pair_witness(G, G_sub, M, M_sub, by_cycle_type=False):
+    """The first pair isomorphism found with (order, class size) candidates,
+    narrowed by cycle type when ``by_cycle_type``."""
     from hopfgalois.engine import view_of
     from hopfgalois.homsearch import isomorphisms
 
@@ -259,6 +260,19 @@ def _fingerprint_pair_witness(G, G_sub, M, M_sub):
         return None
     if va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b):
         return None
-    for gens, images, _ in isomorphisms(va, vb, sub_a=sub_a, sub_b=sub_b):
+    for gens, images, _ in isomorphisms(va, vb, sub_a=sub_a, sub_b=sub_b, by_cycle_type=by_cycle_type):
         return tuple((va.elements[g], vb.elements[h]) for g, h in zip(gens, images))
     return None
+
+
+# -- the point-stabilizer pair test before the point-map decider --------------
+#
+# Like same_order_scan, this runs the package's backtracking engine: it is
+# the path pair_isomorphic took for two (transitive group, Stab(0)) pairs
+# of one degree before point_map decided them, kept as its reference.
+
+
+def cycle_type_pair_search(G, G_sub, M, M_sub) -> bool:
+    """Whether the invariant prefilters pass and the generator-image search
+    with cycle-type candidates finds a pair isomorphism."""
+    return _fingerprint_pair_witness(G, G_sub, M, M_sub, by_cycle_type=True) is not None

@@ -94,3 +94,26 @@ def test_cycle_type_multiset_is_a_conjugacy_invariant():
     assert view_of(c4).cycle_type_multiset() == view_of(c4.conjugate(w)).cycle_type_multiset()
     assert view_of(c4).cycle_type_multiset() != view_of(v4).cycle_type_multiset()
     assert view_of(G).cycle_type_multiset() == (((), 1), ((2,), 6), ((2, 2), 3), ((3,), 8), ((4,), 6))
+
+
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_power_map_matches_products(which, p):
+    v = _views()[which]
+    powers = v.power_map(p)
+    for x in range(v.size):
+        y = x
+        for _ in range(p - 1):
+            y = v.mul(x, y)
+        assert powers[x] == y
+    assert v.power_map(p) is powers
+
+
+def test_power_map_and_conjugates_build_no_cayley_row():
+    v = view_of(PermGroup(8, [parse_perm("(0 1 2 3)"), parse_perm("(4 5 6)(0 7)")]))
+    assert v._rows is not None
+    for p in (2, 3, 5):
+        v.power_map(p)
+    for g in range(v.size):
+        v.conjugates(g, range(v.size))
+    assert all(row is None for row in v._rows)

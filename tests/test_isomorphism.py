@@ -6,11 +6,13 @@ from hopfgalois.isomorphism import (
     is_point_stabilizer_pair,
     pair_isomorphic,
     permutation_pair_of_quotient,
+    point_map,
 )
+from hopfgalois.engine import view_of
 from hopfgalois.permgroup import PermGroup
-from hopfgalois.perms import compose, make_perm, parse_perm
+from hopfgalois.perms import compose, inverse, make_perm, parse_perm
 
-from oracles import brute_pair_isomorphisms
+from oracles import brute_pair_isomorphisms, cycle_type_pair_search
 
 
 def S3():
@@ -215,3 +217,68 @@ def test_pair_with_one_point_stabilizer_side(left, right):
         fast = pair_isomorphic(*args)
         assert (fast is not None) == bool(brute_pair_isomorphisms(*args))
         assert fast is None or _witness_is_sound(fast, args[0], args[2])
+
+
+def _same_key_pairs(n):
+    """Ordered (pair, pair) tests at degree n where both sides are
+    (transitive group, Stab(0)) with one order and one cycle-type multiset:
+    every two catalogue entries, and every index-n quotient pair of an
+    entry against every entry, in both directions."""
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import class_key_of, index_n_subgroup_classes
+
+    catalogue = build_catalogue(n)
+    by_key = {}
+    for e in catalogue:
+        by_key.setdefault((e.order, view_of(e.group).cycle_type_multiset()), []).append(e)
+    tests = []
+    for a in catalogue:
+        for b in by_key[(a.order, view_of(a.group).cycle_type_multiset())]:
+            tests.append(((a.group, a.stabilizer), (b.group, b.stabilizer)))
+    for e in catalogue:
+        stab_key = class_key_of(e.group, e.stabilizer)
+        for cls in index_n_subgroup_classes(e.group, n):
+            if cls.key == stab_key:
+                continue
+            J, J_sub = permutation_pair_of_quotient(e.group, cls.representative)
+            for b in by_key.get((J.order(), view_of(J).cycle_type_multiset()), []):
+                tests.append(((J, J_sub), (b.group, b.stabilizer)))
+                tests.append(((b.group, b.stabilizer), (J, J_sub)))
+    return tests
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_point_map_agrees_with_cycle_type_search(n):
+    """The point-map decider says yes exactly when the generator-image
+    search it replaced finds a pair isomorphism, and every map it returns
+    fixes 0 and conjugates G into M."""
+    tests = _same_key_pairs(n)
+    assert tests
+    for (G, G_sub), (M, M_sub) in tests:
+        assert is_point_stabilizer_pair(G, G_sub) and is_point_stabilizer_pair(M, M_sub)
+        sigma = point_map(G, M, M_sub)
+        assert (sigma is not None) == cycle_type_pair_search(G, G_sub, M, M_sub)
+        if sigma is not None:
+            assert sigma[0] == 0
+            s_inv = inverse(sigma)
+            assert all(compose(sigma, compose(g, s_inv)) in M for g in G.generators)
+
+
+def test_point_map_degree_55_entry_51():
+    """Entry 51's third index-55 class has a quotient with the cycle-type
+    key of entries 47 to 51: no map to 48 or 50, and a map to 51."""
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import index_n_subgroup_classes
+
+    catalogue = build_catalogue(55)
+    entry = catalogue[51]
+    assert (entry.entry_id, entry.order) == (51, 1210)
+    H = index_n_subgroup_classes(entry.group, 55)[2].representative
+    J, J_sub = permutation_pair_of_quotient(entry.group, H)
+    for other in (48, 50):
+        assert point_map(J, catalogue[other].group, catalogue[other].stabilizer) is None
+    sigma = point_map(J, entry.group, entry.stabilizer)
+    assert sigma is not None and sigma[0] == 0
+    s_inv = inverse(sigma)
+    assert all(compose(sigma, compose(g, s_inv)) in entry.group for g in J.generators)
+    assert pair_isomorphic(J, J_sub, entry.group, entry.stabilizer) is not None
