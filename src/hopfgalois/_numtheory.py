@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import PreconditionError
 
 
@@ -40,6 +42,37 @@ def is_prime(q: int) -> bool:
             return False
         d += 2
     return True
+
+
+def is_squarefree(n: int) -> bool:
+    if n < 1:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        if n % d == 0:
+            n //= d
+        else:
+            d += 1
+    return True
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """The least o >= 1 with a^o = 1 mod m; 0 when a is not a unit mod m."""
+    if math.gcd(a, m) != 1:
+        return 0
+    o, x = 1, a % m
+    while x != 1 % m:
+        x = (x * a) % m
+        o += 1
+    return o
+
+
+def crt(a: int, m: int, b: int, k: int) -> int:
+    """The x mod m*k with x = a mod m and x = b mod k (m, k coprime)."""
+    x = a * k * pow(k, -1, m) + b * m * pow(m, -1, k)
+    return x % (m * k)
 
 
 def primitive_root(p: int) -> int:

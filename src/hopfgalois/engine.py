@@ -240,19 +240,22 @@ class GroupView:
             self._gens = self.greedy_generators(range(self.size))
         return self._gens
 
-    def greedy_generators(self, subset) -> tuple:
+    def greedy_generators(self, subset, seed=()) -> tuple:
+        """Generators of the subgroup with element set ``subset``: ``seed``
+        (elements of it), then each element of ``subset`` that the ones
+        before do not generate, by descending order, then ascending index."""
         orders = self.element_orders()
         pool = sorted(subset, key=lambda i: (-orders[i], i))
         target = len(pool)
-        gens = []
-        have = {self.identity}
+        gens = list(seed)
+        have = self.closure(gens)
         for x in pool:
+            if len(have) == target:
+                break
             if x in have:
                 continue
             gens.append(x)
             have = self.closure(gens)
-            if len(have) == target:
-                break
         return tuple(gens)
 
     def closure(self, seed, maxsize=None) -> frozenset | None:

@@ -11,11 +11,10 @@ members first, then by construction parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._numtheory import divisors, factorize
+from ._numtheory import divisors, factorize, is_squarefree, multiplicative_order
 from .engine import GroupView
 from .errors import PreconditionError, UnsupportedOrderError
 from .homsearch import automorphisms, isomorphisms
@@ -32,20 +31,6 @@ KNOWN_GROUP_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1,
     12: 5, 13: 1, 14: 2, 15: 1, 16: 14, 18: 5, 20: 5, 21: 2, 24: 15, 27: 5,
 }
-
-
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        else:
-            d += 1
-    return True
 
 
 def is_supported_order(n: int) -> bool:
@@ -249,16 +234,6 @@ def _abelian_groups(n: int) -> list[AbstractGroup]:
     return out
 
 
-def _multiplicative_order(k: int, e: int) -> int:
-    if math.gcd(k, e) != 1:
-        return 0
-    o, x = 1, k % e
-    while x != 1 % e:
-        x = (x * k) % e
-        o += 1
-    return o
-
-
 def squarefree_groups(n: int) -> list[AbstractGroup]:
     """All groups of squarefree order n, via metacyclic presentations."""
     if not is_squarefree(n):
@@ -269,7 +244,7 @@ def squarefree_groups(n: int) -> list[AbstractGroup]:
             continue
         e = n // d
         for k in range(2, e):
-            if _multiplicative_order(k, e) == d:
+            if multiplicative_order(k, e) == d:
                 candidates.append(metacyclic(e, d, k))
     groups = _dedup_by_isomorphism(candidates)
     groups.sort(key=lambda g: (0 if g.is_abelian() else 1, g.params))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._numtheory import factorize, primitive_root
+from ._numtheory import crt, factorize, is_squarefree, primitive_root
 from .engine import GroupView
 from .errors import PreconditionError, ResourceLimitError
 from .groups import AbstractGroup
@@ -50,21 +50,7 @@ def _automorphism_group_cached(table) -> AutomorphismGroup:
     maps = sorted(
         make_perm([full[x] for x in range(n)]) for full in _automorphism_maps(view)
     )
-    gens = _reduce_generators(n, maps)
-    return AutomorphismGroup(PermGroup(n, gens), tuple(maps))
-
-
-def _reduce_generators(degree, elements):
-    """Small generating subset of a full element list, grown greedily."""
-    current = PermGroup(degree, [])
-    gens = []
-    for p in elements:
-        if p not in current:
-            gens.append(p)
-            current = PermGroup(degree, gens)
-            if current.order() == len(elements):
-                break
-    return gens
+    return AutomorphismGroup(group_from_elements(n, maps), tuple(maps))
 
 
 @dataclass(frozen=True)
@@ -173,7 +159,7 @@ def hall_pi_subgroup(hol: Holomorph) -> PermGroup:
     diagonal maps)."""
     N = hol.N_ref
     n = N.order
-    if not _is_squarefree(n):
+    if not is_squarefree(n):
         raise PreconditionError("Hall decomposition requires squarefree |N|")
     e, d, k = _metacyclic_params(N)
     primes = _prime_set(n)
@@ -208,12 +194,6 @@ def _s_power(N: AbstractGroup, i: int, d: int) -> int:
     return (i % e) * d
 
 
-def _is_squarefree(n: int) -> bool:
-    from .groups import is_squarefree
-
-    return is_squarefree(n)
-
-
 def _pi_part_unit_generators(e: int, primes: set[int]) -> list[int]:
     """Generators of the Hall pi-part of (Z/e)* for squarefree e, via CRT."""
     out = []
@@ -224,32 +204,8 @@ def _pi_part_unit_generators(e: int, primes: set[int]) -> list[int]:
             continue
         exp = (p - 1) // target
         val = pow(root, exp, p)
-        out.append(_crt_lift(val, p, e))
+        out.append(crt(val, p, 1, e // p))
     return out
-
-
-def _pi_prime_part_unit_generators(e: int, primes: set[int]) -> list[int]:
-    out = []
-    for p, _ in factorize(e):
-        root = primitive_root(p)
-        target = (p - 1) // _pi_part(p - 1, primes)
-        if target == 1:
-            continue
-        exp = (p - 1) // target
-        val = pow(root, exp, p)
-        out.append(_crt_lift(val, p, e))
-    return out
-
-
-def _crt_lift(val: int, p: int, e: int) -> int:
-    """x = val mod p, x = 1 mod e/p."""
-    m = e // p
-    if m == 1:
-        return val % e
-    inv_m = pow(m, -1, p)
-    inv_p = pow(p, -1, m)
-    x = (val * m * inv_m + 1 * p * inv_p) % e
-    return x
 
 
 def hall_decomposition(hol: Holomorph, G: PermGroup):
@@ -257,7 +213,7 @@ def hall_decomposition(hol: Holomorph, G: PermGroup):
     subgroup of G for the primes of |N|, V a complement of coprime order."""
     N = hol.N_ref
     n = N.order
-    if not _is_squarefree(n):
+    if not is_squarefree(n):
         raise PreconditionError("Hall decomposition requires squarefree |N|")
     if not G.is_subgroup_of(hol.group):
         raise PreconditionError("G must be a subgroup of the holomorph")

@@ -61,21 +61,8 @@ def _adapted_generators(view: GroupView, sub: frozenset | None):
     generators form a prefix.  Returns (gens, cut) with cut = prefix length."""
     if sub is None:
         return list(view.generators()), 0
-    sub_gens = list(view.greedy_generators(sub))
-    cut = len(sub_gens)
-    have = view.closure(sub_gens)
-    orders = view.element_orders()
-    gens = sub_gens
-    if len(have) < view.size:
-        pool = sorted(range(view.size), key=lambda i: (-orders[i], i))
-        for x in pool:
-            if x in have:
-                continue
-            gens.append(x)
-            have = view.closure(gens)
-            if len(have) == view.size:
-                break
-    return gens, cut
+    sub_gens = view.greedy_generators(sub)
+    return list(view.greedy_generators(range(view.size), sub_gens)), len(sub_gens)
 
 
 def _candidate_pools(A: GroupView, B: GroupView, gens, cut, sub_b, by_cycle_type):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .engine import GroupView
 from .errors import PreconditionError
 from .perms import (
     compose,
@@ -40,9 +41,10 @@ def _first_moved(p):
     return None
 
 
-def _build_chain(degree, gens):
-    """Deterministic Schreier-Sims; returns the list of levels."""
-    levels: list[_Level] = []
+def _build_chain(degree, gens, first_base=None):
+    """Deterministic Schreier-Sims; returns the list of levels.  With
+    ``first_base`` given, the chain's first base point is forced to it."""
+    levels = [] if first_base is None else [_Level(first_base, degree)]
 
     def cumulative(i):
         out = []
@@ -274,75 +276,9 @@ class PermGroup:
 
 
 def _build_chain_prefixed(degree, gens, first_base):
-    """Chain whose first base point is forced; used for point stabilizers."""
-    levels = [_Level(first_base, degree)]
-
-    def cumulative(i):
-        out = []
-        for lvl in levels[i:]:
-            out.extend(lvl.gens)
-        return out
-
-    def sift(p, start):
-        for i in range(start, len(levels)):
-            lvl = levels[i]
-            img = p[lvl.base]
-            if img == lvl.base:
-                continue
-            rep = lvl.transversal.get(img)
-            if rep is None:
-                return p, i
-            p = compose(inverse(rep), p)
-        return p, len(levels)
-
-    def complete(i):
-        while True:
-            lvl = levels[i]
-            gens_i = cumulative(i)
-            trans = {lvl.base: identity(degree)}
-            frontier = [lvl.base]
-            while frontier:
-                new = []
-                for pt in frontier:
-                    rep = trans[pt]
-                    for g in gens_i:
-                        img = g[pt]
-                        if img not in trans:
-                            trans[img] = compose(g, rep)
-                            new.append(img)
-                new.sort()
-                frontier = new
-            lvl.transversal = trans
-            added = False
-            for pt in sorted(trans):
-                rep = trans[pt]
-                for g in gens_i:
-                    srep = trans[g[pt]]
-                    schreier = compose(inverse(srep), compose(g, rep))
-                    if is_identity(schreier):
-                        continue
-                    residue, j = sift(schreier, i + 1)
-                    if is_identity(residue):
-                        continue
-                    if j == len(levels):
-                        levels.append(_Level(_first_moved(residue), degree))
-                    levels[j].gens.append(residue)
-                    complete(j)
-                    added = True
-            if not added:
-                return
-
-    for g in gens:
-        residue, i = sift(g, 0)
-        if is_identity(residue):
-            continue
-        if i == len(levels):
-            levels.append(_Level(_first_moved(residue), degree))
-        levels[i].gens.append(residue)
-        complete(i)
-        for j in range(i - 1, -1, -1):
-            complete(j)
-    return levels
+    # Kept as its own name for point stabilizers so that callers tracing
+    # chain builds by name (bench/spans.py) still find it.
+    return _build_chain(degree, gens, first_base)
 
 
 # -- module-level operations ---------------------------------------------
@@ -365,41 +301,13 @@ def _require_subgroup(G: PermGroup, H: PermGroup, name="H"):
         raise PreconditionError(f"{name} is not a subgroup of G")
 
 
-def _greedy_generators(elements, degree):
-    """Small generating set for a subgroup given by its element set."""
-    from .perms import perm_order
-
-    remaining = sorted(elements, key=lambda p: (-perm_order(p), p))
-    gens = []
-    have = {identity(degree)}
-    target = len(elements)
-    for x in remaining:
-        if x in have:
-            continue
-        gens.append(x)
-        have = _closure_set(have | {x}, gens)
-        if len(have) == target:
-            break
-    return gens
-
-
-def _closure_set(seed, gens):
-    els = set(seed)
-    frontier = list(seed)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = compose(g, x)
-                if y not in els:
-                    els.add(y)
-                    new.append(y)
-        frontier = new
-    return els
-
-
 def group_from_elements(degree, elements) -> PermGroup:
-    return PermGroup(degree, _greedy_generators(set(elements), degree))
+    """The subgroup with the given elements (the identity may be left out),
+    generated as ``GroupView.greedy_generators`` picks."""
+    id_perm = identity(degree)
+    view = GroupView.from_perm_elements(set(elements) | {id_perm}, id_perm)
+    gens = view.greedy_generators(range(view.size))
+    return PermGroup(degree, [view.elements[i] for i in gens])
 
 
 def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:

@@ -220,7 +220,8 @@ def analyze_parallel(
         match = None
         scanned = []
         for cand in _match_candidates(catalogue, J.order()):
-            # an entry with another key is scanned and ruled out untested
+            # an entry with another key is scanned and ruled out untested;
+            # after a miss every same-order entry has been scanned
             scanned.append(cand.entry_id)
             if _cycle_key(cand.group) != key:
                 continue
@@ -228,9 +229,6 @@ def analyze_parallel(
             if witness is not None:
                 match = MatchResult(cand.entry_id, witness)
                 break
-        if match is None:
-            # exhaustive scan: every same-order entry was tried
-            scanned = [e.entry_id for e in _match_candidates(catalogue, J.order())]
         reports.append(
             ParallelReport(
                 entry.entry_id,

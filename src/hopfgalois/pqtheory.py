@@ -19,27 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._numtheory import divisors, is_prime, primitive_root
+from ._numtheory import crt, divisors, is_prime, multiplicative_order, primitive_root
 from .errors import PreconditionError, VerificationError
-from .groups import AbstractGroup, groups_of_order
-from .holomorph import Holomorph, automorphism_from_images, holomorph
+from .groups import groups_of_order
+from .holomorph import Holomorph, _s_power, automorphism_from_images, holomorph
 from .isomorphism import pair_isomorphic
 from .permgroup import PermGroup
 from .perms import compose, make_perm
 from .subgroups import all_subgroup_classes, class_key_of, classify_index_n
 
 
-def _mult_order(a: int, m: int) -> int:
-    o, x = 1, a % m
-    while x != 1:
-        x = (x * a) % m
-        o += 1
-    return o
-
-
 def _least_of_order(order: int, p: int) -> int:
     for a in range(2, p):
-        if _mult_order(a, p) == order:
+        if multiplicative_order(a, p) == order:
             return a
     raise PreconditionError(f"no element of order {order} mod {p}")
 
@@ -102,12 +94,6 @@ def _cyclic_setup(params: PqParameters):
     return N, hol, lam, aut_map, sigma, tau
 
 
-def _crt(p_val, p_mod, q_val, q_mod):
-    m = p_mod * q_mod
-    x = p_val * q_mod * pow(q_mod, -1, p_mod) + q_val * p_mod * pow(p_mod, -1, q_mod)
-    return x % m
-
-
 def cyclic_type_transitive_subgroups(params: PqParameters):
     """(group, tag, info) triples for the cyclic-type families, deduplicated
     up to conjugacy in Hol(C_pq); collisions between parameter choices are
@@ -117,7 +103,6 @@ def cyclic_type_transitive_subgroups(params: PqParameters):
     N, hol, lam, aut_map, sigma, tau = _cyclic_setup(params)
     built = []
     # family 1: N x| X over all subgroups X of Aut(N)
-    aut_perms = sorted(set(hol.aut.maps))
     aut_group = PermGroup(n, list(hol.aut.group.generators))
     for X in all_subgroup_classes(aut_group):
         gens = [lam(sigma), lam(tau)] + list(X.representative.generators)
@@ -126,8 +111,8 @@ def cyclic_type_transitive_subgroups(params: PqParameters):
     # family 2: J_{t,c} x| Y with alpha the Sylow-q generator of Aut(<sigma>)
     if e0 > 0:
         a_alpha = _least_of_order(q**e0, p)
-        alpha_m = _crt(a_alpha, p, 1, q)
-        sigma_aut_gen = _crt(primitive_root(p), p, 1, q)
+        alpha_m = crt(a_alpha, p, 1, q)
+        sigma_aut_gen = crt(primitive_root(p), p, 1, q)
         for c in range(1, e0 + 1):
             for t in range(1, q**c):
                 if t % q == 0:
@@ -191,7 +176,7 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
     def phi(m):
         # sigma -> sigma^m, tau -> tau
         return automorphism_from_images(
-            N, {sigma: _sigma_power(N, m, q), tau: tau}
+            N, {sigma: _s_power(N, m, q), tau: tau}
         )
 
     E1 = lam(sigma)
@@ -238,11 +223,6 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
                     )
                 built.append((G, "P:TA_B", {"c": c, "d": d, "u": u}))
     return _dedup_in_holomorph(hol, built)
-
-
-def _sigma_power(N: AbstractGroup, m: int, q: int) -> int:
-    e = N.order // q
-    return (m % e) * q
 
 
 # -- predicted counts ---------------------------------------------------------

@@ -42,6 +42,21 @@ def _order_forces_solvable(n: int) -> bool:
     return len(factorize(n)) < 3
 
 
+def _conjugacy_orbit(conj_maps, S: frozenset):
+    """The conjugates of the subgroup S (a set of element indices) under the
+    group whose generators have the conjugation maps ``conj_maps``, S first,
+    and the class key: the least conjugate as a sorted tuple."""
+    seen = {S}
+    orbit = [S]
+    for T in orbit:
+        for m in conj_maps:
+            U = frozenset(m[i] for i in T)
+            if U not in seen:
+                seen.add(U)
+                orbit.append(U)
+    return orbit, min(tuple(sorted(T)) for T in orbit)
+
+
 class _Lattice:
     def __init__(self, G: PermGroup, order_divides=None, max_order=DEFAULT_MAX_ORDER):
         if G.order() > max_order:
@@ -67,20 +82,10 @@ class _Lattice:
         if cid is not None:
             return cid
         cid = len(self.classes)
-        orbit = [S]
-        self.seen[S] = cid
-        pos = 0
-        while pos < len(orbit):
-            T = orbit[pos]
-            pos += 1
-            for m in self.conj_maps:
-                U = frozenset(m[i] for i in T)
-                if U not in self.seen:
-                    self.seen[U] = cid
-                    orbit.append(U)
-        canonical = min(orbit, key=lambda T: tuple(sorted(T)))
+        orbit, key = _conjugacy_orbit(self.conj_maps, S)
+        self.seen.update(dict.fromkeys(orbit, cid))
         self.classes.append(
-            {"rep": canonical, "order": len(S), "class_size": len(orbit)}
+            {"rep": frozenset(key), "key": key, "order": len(S), "class_size": len(orbit)}
         )
         self.worklist.append(cid)
         return cid
@@ -225,13 +230,12 @@ class _Lattice:
             gens = rec.get("gens") or view.greedy_generators(rep_set)
             rep = PermGroup(self.G.degree, [view.elements[i] for i in gens])
             assert rep.order() == rec["order"]
-            key = tuple(sorted(rep_set))
             out.append(
                 SubgroupClass(
                     representative=rep,
                     class_size=rec["class_size"],
                     order=rec["order"],
-                    key=key,
+                    key=rec["key"],
                 )
             )
         out.sort(key=lambda c: (c.order, c.key))
@@ -284,22 +288,32 @@ def class_key_of(G: PermGroup, H: PermGroup) -> tuple:
         start = frozenset(view._index[h] for h in H.elements())
     except KeyError:
         raise PreconditionError("H is not contained in G") from None
-    maps = view.generator_conjugation_maps()
-    seen = {start}
-    orbit = [start]
-    pos = 0
-    while pos < len(orbit):
-        T = orbit[pos]
-        pos += 1
-        for m in maps:
-            U = frozenset(m[i] for i in T)
-            if U not in seen:
-                seen.add(U)
-                orbit.append(U)
-    return tuple(sorted(min(orbit, key=lambda T: tuple(sorted(T)))))
+    return _conjugacy_orbit(view.generator_conjugation_maps(), start)[1]
 
 
 # -- classification -------------------------------------------------------
+
+
+def _partition(k: int, joined) -> list[int]:
+    """Class labels of 0..k-1 under the equivalence generated by the pairs
+    i < j with ``joined(i, j)``, numbered in order of first appearance.
+    Pairs are tried in lexicographic order, skipping those already in one
+    class."""
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            ri, rj = find(i), find(j)
+            if ri != rj and joined(i, j):
+                parent[ri] = rj
+    labels: dict[int, int] = {}
+    return [labels.setdefault(find(i), len(labels)) for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -328,16 +342,7 @@ def classify_index_n(G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER
 
     classes = index_n_subgroup_classes(G, n, max_order=max_order)
     k = len(classes)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
+    reps = [c.representative for c in classes]
 
     # invariants preserved by any ambient automorphism: subgroup order and
     # order histogram, conjugacy class size, core order
@@ -354,56 +359,19 @@ def classify_index_n(G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER
             )
         )
 
-    # orbit partition under Aut(G)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if find(i) == find(j):
-                continue
-            if profiles[i] != profiles[j]:
-                continue
-            if pair_isomorphic(
-                G, classes[i].representative, G, classes[j].representative
-            ):
-                union(i, j)
-    orbit_of = {}
-    orbit_ids = []
-    for i in range(k):
-        r = find(i)
-        if r not in orbit_of:
-            orbit_of[r] = len(orbit_ids)
-            orbit_ids.append(r)
-        orbit_of[i] = orbit_of[r]
-    aut_orbits = len(orbit_ids)
-
-    # isomorphism classes refine across orbits
-    parent2 = list(range(k))
-
-    def find2(i):
-        while parent2[i] != i:
-            parent2[i] = parent2[parent2[i]]
-            i = parent2[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if find2(i) == find2(j):
-                continue
-            if find(i) == find(j):
-                parent2[find2(i)] = find2(j)
-                continue
-            if classes[i].order != classes[j].order:
-                continue
-            if find_isomorphism(classes[i].representative, classes[j].representative):
-                parent2[find2(i)] = find2(j)
-    iso_of = {}
-    iso_ids = []
-    for i in range(k):
-        r = find2(i)
-        if r not in iso_of:
-            iso_of[r] = len(iso_ids)
-            iso_ids.append(r)
-        iso_of[i] = iso_of[r]
-    iso_classes = len(iso_ids)
+    # orbit partition under Aut(G); isomorphism classes refine across orbits
+    orbit_of = _partition(
+        k,
+        lambda i, j: profiles[i] == profiles[j]
+        and pair_isomorphic(G, reps[i], G, reps[j]),
+    )
+    iso_of = _partition(
+        k,
+        lambda i, j: orbit_of[i] == orbit_of[j]
+        or (classes[i].order == classes[j].order and find_isomorphism(reps[i], reps[j])),
+    )
+    aut_orbits = max(orbit_of, default=-1) + 1
+    iso_classes = max(iso_of, default=-1) + 1
 
     details = tuple(
         {

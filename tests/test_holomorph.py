@@ -3,7 +3,6 @@ import pytest
 from hopfgalois.errors import PreconditionError
 from hopfgalois.groups import cyclic, direct_product, groups_of_order, trivial_group
 from hopfgalois.holomorph import (
-    _pi_prime_part_unit_generators,
     automorphism_group,
     hall_decomposition,
     hall_pi_subgroup,
@@ -124,9 +123,6 @@ def test_hall_decomposition_metacyclic_21():
     assert Q.order() == 441
     U, V = hall_decomposition(h, h.group)
     assert U.order() == 441 and V.order() == 2
-    # Hol(N) = Q x| Phi2
-    phi2 = _pi_prime_part_unit_generators(7, {3, 7})
-    assert phi2  # the order-2 part of (Z/7)* survives
 
 
 def test_hall_requires_squarefree():

@@ -5,12 +5,13 @@ from hopfgalois.permgroup import (
     PermGroup,
     are_conjugate_subgroups,
     coset_action,
+    group_from_elements,
     group_order,
     is_transitive,
     normal_core,
     point_stabilizer,
 )
-from hopfgalois.perms import compose, inverse, make_perm, parse_perm
+from hopfgalois.perms import compose, identity, inverse, is_identity, make_perm, parse_perm
 
 from oracles import brute_core, brute_normalizer, brute_order, brute_orbit, brute_stabilizer, mulclose
 
@@ -196,3 +197,35 @@ def test_immutability_and_eq():
     assert g == h
     assert hash(g) == hash(h)
     assert g.generators == h.generators  # normalized sorted generators
+
+
+def test_group_from_elements_reproduces_element_sets():
+    """group_from_elements on the element set of a subgroup gives exactly
+    that subgroup, also when the identity is left out of the input: the
+    coset-action kernels of the index-8 classes of every degree-8 entry,
+    and Aut(N) for every N of order at most 12."""
+    from hopfgalois.groups import groups_of_order
+    from hopfgalois.holomorph import automorphism_group
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import index_n_subgroup_classes
+
+    cases = []
+    for e in build_catalogue(8):
+        for c in index_n_subgroup_classes(e.group, 8):
+            act = coset_action(e.group, c.representative)
+            kernel = [
+                h for h in c.representative.elements() if is_identity(act.image_of_element(h))
+            ]
+            cases.append((8, kernel))
+    for n in range(1, 13):
+        for N in groups_of_order(n).groups:
+            cases.append((n, automorphism_group(N).maps))
+    without_identity = 0
+    for degree, els in cases:
+        one = identity(degree)
+        want = set(els) | {one}
+        assert set(group_from_elements(degree, els).elements()) == want
+        rest = [x for x in els if x != one]
+        without_identity += bool(rest)
+        assert set(group_from_elements(degree, rest).elements()) == want
+    assert len(cases) > 800 and without_identity > 450
