@@ -259,23 +259,29 @@ class GroupView:
         return tuple(gens)
 
     def closure(self, seed, maxsize=None) -> frozenset | None:
-        """Subgroup generated by ``seed``; None if maxsize is exceeded."""
+        """Subgroup generated by ``seed``; None exactly when it has more than
+        ``maxsize`` elements.  Views with a table or Cayley rows step through
+        each generator's row, fetched once."""
         els = {self.identity}
         gens = [g for g in seed if g != self.identity]
         els.update(gens)
-        frontier = list(els)
-        mul = self.mul
+        if self._table is not None:
+            rows = [self._table[g] for g in gens]
+        elif self._rows is not None:
+            rows = [self._rows[g] or self._build_row(g) for g in gens]
+        else:
+            mul = self._mul_direct
+            rows = None
+        frontier = els
         while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = mul(g, x)
-                    if y not in els:
-                        els.add(y)
-                        new.append(y)
-                        if maxsize is not None and len(els) > maxsize:
-                            return None
-            frontier = new
+            if maxsize is not None and len(els) > maxsize:
+                return None
+            if rows is None:
+                frontier = {mul(g, x) for g in gens for x in frontier}
+            else:
+                frontier = {row[x] for row in rows for x in frontier}
+            frontier -= els
+            els |= frontier
         return frozenset(els)
 
     # -- conjugation ----------------------------------------------------------
@@ -357,20 +363,22 @@ class GroupView:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
 
     def derived_subgroup_of(self, subgroup: frozenset, gens=None) -> frozenset:
-        """Derived subgroup of a subgroup given by its element set."""
+        """Derived subgroup of a subgroup given by its element set: the normal
+        closure of the commutators of its generators, grown by each
+        generator's conjugates under them that it does not yet contain."""
         if gens is None:
             gens = self.greedy_generators(subgroup)
         seed = {self.commutator(a, b) for a in gens for b in gens}
         seed.discard(self.identity)
-        current = self.closure(seed)
-        # normal closure inside the subgroup
-        while True:
-            extra = set()
+        normal_gens = list(seed)
+        current = self.closure(normal_gens)
+        for n in normal_gens:
             for g in gens:
-                extra.update(y for y in self.conjugates(g, current) if y not in current)
-            if not extra:
-                return current
-            current = self.closure(set(current) | extra)
+                y = self.conjugates(g, (n,))[0]
+                if y not in current:
+                    normal_gens.append(y)
+                    current = self.closure(normal_gens)
+        return current
 
     def perfect_residual(self, subgroup: frozenset) -> frozenset:
         current = subgroup

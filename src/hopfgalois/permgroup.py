@@ -305,7 +305,10 @@ def group_from_elements(degree, elements) -> PermGroup:
     """The subgroup with the given elements (the identity may be left out),
     generated as ``GroupView.greedy_generators`` picks."""
     id_perm = identity(degree)
-    view = GroupView.from_perm_elements(set(elements) | {id_perm}, id_perm)
+    elements = set(elements) | {id_perm}
+    if len(elements) == 1:
+        return PermGroup(degree)
+    view = GroupView.from_perm_elements(elements, id_perm)
     gens = view.greedy_generators(range(view.size))
     return PermGroup(degree, [view.elements[i] for i in gens])
 

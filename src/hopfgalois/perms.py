@@ -36,7 +36,7 @@ def identity(degree: int) -> bytes | tuple:
 
 
 def is_identity(p) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    return p == identity(len(p))
 
 
 def compose(p, q):
@@ -53,10 +53,12 @@ def pad256(p: bytes) -> bytes:
 
 
 def inverse(p):
+    if isinstance(p, bytes):
+        return bytes.maketrans(p, _ID256[:len(p)])[:len(p)]
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
-    return bytes(inv) if isinstance(p, bytes) else tuple(inv)
+    return tuple(inv)
 
 
 def power(p, k: int):

@@ -3,9 +3,12 @@
 The lattice is grown bottom-up by cyclic extension: a class representative
 U is extended by elements g of its normalizer with g^p in U, so the new
 subgroup is the union of p cosets and needs no closure.  Solvable ambient
-groups are fully covered this way; otherwise the walk is seeded with the
-perfect subgroups, found as perfect residuals of two-generated subgroups
-(every perfect group within the supported order range is 2-generated).
+groups are fully covered this way; otherwise the walk is also seeded with
+the perfect subgroups.  They all lie in the perfect residual G^(oo), so the
+search runs inside it (on a view of its own when it is proper): G^(oo)
+itself, and the perfect residuals of two-generated subgroups (every perfect
+group within the supported order range is 2-generated), of which only half
+the generating pairs are closed: one per pair up to conjugacy and swapping.
 
 Deduplication keys every conjugate of every discovered subgroup, so a
 candidate is recognized in one set lookup; class sizes and normalizers fall
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._numtheory import factorize
-from .engine import view_of
+from .engine import GroupView, view_of
 from .errors import PreconditionError, ResourceLimitError
 from .permgroup import PermGroup
 
@@ -57,6 +60,76 @@ def _conjugacy_orbit(conj_maps, S: frozenset):
     return orbit, min(tuple(sorted(T)) for T in orbit)
 
 
+def _perfect_subgroups(view) -> list[frozenset]:
+    """Perfect subgroups of the view's group, at least one in each class of
+    nontrivial proper ones: perfect residuals of two-generated subgroups,
+    then a round that extends each one found by single class
+    representatives.
+
+    Only pairs (x, y) are closed where x represents a conjugacy class and y
+    an orbit of the centralizer of x in a class that comes no earlier in
+    the order by class size: any pair (a, b) becomes one of these by
+    swapping a and b to put a's class first and then conjugating.
+    A closure past half the group is the whole group (Lagrange) and is
+    dropped.  Subgroups whose order forces solvability are dismissed
+    without computing a derived series."""
+    classes = sorted(view.conj_classes(), key=len)
+    orders = view.element_orders()
+    half = view.size // 2
+    found: dict[frozenset, None] = {}
+    residual_cache: dict[frozenset, frozenset] = {}
+
+    def residual(S):
+        if _order_forces_solvable(len(S)):
+            return None
+        R = residual_cache.get(S)
+        if R is None:
+            R = residual_cache[S] = view.perfect_residual(S)
+        return R
+
+    for rank, c in enumerate(classes):
+        x = c[0]
+        if orders[x] == 1:
+            continue
+        cmaps = [
+            view.conjugation_map(g)
+            for g in view.greedy_generators(view.centralizer_elements(x))
+        ]
+        seen_y = set()
+        for y in (y for d in classes[rank:] for y in d):
+            if y in seen_y:
+                continue
+            seen_y.add(y)
+            orbit = [y]
+            for z in orbit:
+                for m in cmaps:
+                    w = m[z]
+                    if w not in seen_y:
+                        seen_y.add(w)
+                        orbit.append(w)
+            S = view.closure([x, y], maxsize=half)
+            if S is not None:
+                R = residual(S)
+                if R is not None and len(R) > 1:
+                    found.setdefault(R)
+    # residual closure: extend each perfect subgroup by single elements
+    frontier = list(found)
+    while frontier:
+        new = []
+        for P in frontier:
+            pgens = view.greedy_generators(P)
+            for c in classes:
+                g = c[0]
+                if g in P or orders[g] == 1:
+                    continue
+                fresh = residual(view.closure(list(pgens) + [g]))
+                if fresh is not None and len(fresh) > 1 and fresh not in found:
+                    found.setdefault(fresh)
+                    new.append(fresh)
+        frontier = new
+    return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
+
+
 class _Lattice:
     def __init__(self, G: PermGroup, order_divides=None, max_order=DEFAULT_MAX_ORDER):
         if G.order() > max_order:
@@ -93,82 +166,27 @@ class _Lattice:
     # -- seeds -------------------------------------------------------------
 
     def seed(self):
-        self.register(frozenset({self.view.identity}))
-        if _order_forces_solvable(self.size) or self.view.is_solvable():
+        """The trivial subgroup and the perfect subgroups, which all lie in
+        R = G^(oo)."""
+        view = self.view
+        self.register(frozenset({view.identity}))
+        if _order_forces_solvable(self.size):
             return
-        for P in self._perfect_subgroups():
+        R = view.perfect_residual(frozenset(range(self.size)))
+        if len(R) == 1:
+            return
+        if len(R) == self.size:
+            perfect = _perfect_subgroups(view)
+        else:
+            els = view.elements
+            r_view = GroupView.from_perm_elements([els[i] for i in R], els[view.identity])
+            perfect = [
+                frozenset(view._index[r_view.elements[i]] for i in P)
+                for P in _perfect_subgroups(r_view)
+            ]
+        for P in perfect + [R]:
             if self.target % len(P) == 0:
                 self.register(P)
-
-    def _perfect_subgroups(self):
-        """Perfect subgroups up to conjugacy, via 2-generated sweeps plus a
-        residual closure round.  Subgroups whose order forces solvability
-        are dismissed without computing a derived series."""
-        view = self.view
-        classes = view.conj_classes()
-        orders = view.element_orders()
-        found: dict[frozenset, None] = {}
-        residual_cache: dict[frozenset, frozenset] = {}
-
-        def residual(S):
-            if _order_forces_solvable(len(S)):
-                return None
-            R = residual_cache.get(S)
-            if R is None:
-                R = view.perfect_residual(S)
-                residual_cache[S] = R
-            return R
-
-        def note(S):
-            R = residual(S)
-            if R is not None and len(R) > 1:
-                found.setdefault(R)
-                return R
-            return None
-
-        reps = [c[0] for c in classes if orders[c[0]] > 1]
-        for x in reps:
-            cent = view.centralizer_elements(x)
-            cent_gens = view.greedy_generators(cent)
-            cmaps = [view.conjugation_map(g) for g in cent_gens]
-            seen_y = set()
-            for y in range(self.size):
-                if y in seen_y:
-                    continue
-                orbit = [y]
-                seen_y.add(y)
-                pos = 0
-                while pos < len(orbit):
-                    z = orbit[pos]
-                    pos += 1
-                    for m in cmaps:
-                        w = m[z]
-                        if w not in seen_y:
-                            seen_y.add(w)
-                            orbit.append(w)
-                S = view.closure([x, y], maxsize=self.size)
-                if S is None or self.size % len(S) != 0:
-                    continue
-                note(S)
-        # residual closure: extend each perfect subgroup by single elements
-        frontier = list(found)
-        while frontier:
-            new = []
-            for P in frontier:
-                pgens = view.greedy_generators(P)
-                for c in classes:
-                    g = c[0]
-                    if g in P or orders[g] == 1:
-                        continue
-                    S = view.closure(list(pgens) + [g], maxsize=self.size)
-                    if S is None:
-                        continue
-                    fresh = residual(S)
-                    if fresh is not None and len(fresh) > 1 and fresh not in found:
-                        found.setdefault(fresh)
-                        new.append(fresh)
-            frontier = new
-        return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
 
     # -- extension ----------------------------------------------------------
 

@@ -276,3 +276,84 @@ def cycle_type_pair_search(G, G_sub, M, M_sub) -> bool:
     """Whether the invariant prefilters pass and the generator-image search
     with cycle-type candidates finds a pair isomorphism."""
     return _fingerprint_pair_witness(G, G_sub, M, M_sub, by_cycle_type=True) is not None
+
+
+# -- the perfect-subgroup sweep before seeding inside the perfect residual ----
+#
+# Like same_order_scan, this runs the package's engine: it is the body of
+# the lattice's perfect-subgroup seeding before the sweep moved into
+# G^(oo) and halved its pairs, kept as its reference.  It closes <x, y>
+# for every class representative x and every orbit of x's centralizer.
+
+
+def perfect_subgroups(view):
+    """Perfect subgroups up to conjugacy, via 2-generated sweeps plus a
+    residual closure round.  Subgroups whose order forces solvability
+    are dismissed without computing a derived series."""
+    from hopfgalois.subgroups import _order_forces_solvable
+
+    size = view.size
+    classes = view.conj_classes()
+    orders = view.element_orders()
+    found: dict[frozenset, None] = {}
+    residual_cache: dict[frozenset, frozenset] = {}
+
+    def residual(S):
+        if _order_forces_solvable(len(S)):
+            return None
+        R = residual_cache.get(S)
+        if R is None:
+            R = view.perfect_residual(S)
+            residual_cache[S] = R
+        return R
+
+    def note(S):
+        R = residual(S)
+        if R is not None and len(R) > 1:
+            found.setdefault(R)
+            return R
+        return None
+
+    reps = [c[0] for c in classes if orders[c[0]] > 1]
+    for x in reps:
+        cent = view.centralizer_elements(x)
+        cent_gens = view.greedy_generators(cent)
+        cmaps = [view.conjugation_map(g) for g in cent_gens]
+        seen_y = set()
+        for y in range(size):
+            if y in seen_y:
+                continue
+            orbit = [y]
+            seen_y.add(y)
+            pos = 0
+            while pos < len(orbit):
+                z = orbit[pos]
+                pos += 1
+                for m in cmaps:
+                    w = m[z]
+                    if w not in seen_y:
+                        seen_y.add(w)
+                        orbit.append(w)
+            S = view.closure([x, y], maxsize=size)
+            if S is None or size % len(S) != 0:
+                continue
+            note(S)
+    # residual closure: extend each perfect subgroup by single elements
+    frontier = list(found)
+    while frontier:
+        new = []
+        for P in frontier:
+            pgens = view.greedy_generators(P)
+            for c in classes:
+                g = c[0]
+                if g in P or orders[g] == 1:
+                    continue
+                S = view.closure(list(pgens) + [g], maxsize=size)
+                if S is None:
+                    continue
+                fresh = residual(S)
+                if fresh is not None and len(fresh) > 1 and fresh not in found:
+                    found.setdefault(fresh)
+                    new.append(fresh)
+        frontier = new
+    return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))

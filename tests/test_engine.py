@@ -1,11 +1,15 @@
-"""GroupView conjugation, centre and cycle types against the Cayley-table path."""
+"""GroupView conjugation, centre, cycle types, closures and derived
+subgroups against the Cayley-table path and brute-force closures."""
 
 import pytest
 
 from hopfgalois.engine import CAYLEY_LIMIT, view_of
 from hopfgalois.groups import groups_of_order
 from hopfgalois.permgroup import PermGroup
-from hopfgalois.perms import cycle_type, make_perm, parse_perm, perm_order
+from hopfgalois.perms import compose, cycle_type, inverse, make_perm, parse_perm, perm_order
+
+from oracles import mulclose
+from test_subgroups import ORACLE_CORPUS
 
 
 def _dihedral(m):
@@ -117,3 +121,52 @@ def test_power_map_and_conjugates_build_no_cayley_row():
     for g in range(v.size):
         v.conjugates(g, range(v.size))
     assert all(row is None for row in v._rows)
+
+
+def _closure_oracle(v, seed):
+    """The closure of ``seed`` by oracles.mulclose on permutations: the
+    view's own, or a table view's left-regular ones (x -> g x), whose image
+    of the identity 0 names the element."""
+    if v.elements is not None:
+        return {v._index[p] for p in mulclose([v.elements[g] for g in seed], len(v.elements[0]))}
+    return {p[0] for p in mulclose([make_perm(v._table[g]) for g in seed], v.size)}
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_closure_matches_mulclose(which):
+    v = _views()[which]
+    step = max(1, v.size // 5)
+    gens = list(v.generators())
+    seeds = [[], [v.identity], gens[:1], gens, list(range(1, v.size, step)),
+             [v.size - 1, v.identity, v.size - 1]]
+    for seed in seeds:
+        rows_before = None if v._rows is None else {i for i, r in enumerate(v._rows) if r is not None}
+        expected = _closure_oracle(v, seed)
+        assert v.closure(seed) == expected
+        if rows_before is not None:
+            built = {i for i, r in enumerate(v._rows) if r is not None} - rows_before
+            assert built <= set(seed)
+        for maxsize in (len(expected) - 1, len(expected), len(expected) + 1, len(expected) // 2):
+            got = v.closure(seed, maxsize=maxsize)
+            assert got == (None if len(expected) > maxsize else expected)
+
+
+def _brute_derived(elements):
+    """Closure of every commutator a b a^-1 b^-1 of the given permutations."""
+    comms = {compose(compose(a, b), compose(inverse(a), inverse(b)))
+             for a in elements for b in elements}
+    return mulclose(list(comms), len(next(iter(elements))))
+
+
+A5 = PermGroup(5, [parse_perm("(0 1 2)", 5), parse_perm("(0 1 2 3 4)")])
+
+
+@pytest.mark.parametrize("name,G", ORACLE_CORPUS + [("A5", A5)])
+def test_derived_subgroup_matches_commutator_closure(name, G):
+    """On the whole group and on the stabilizer of point 0."""
+    v = view_of(G)
+    for H in (G, G.point_stabilizer(0)):
+        els = H.elements()
+        sub = frozenset(v._index[p] for p in els)
+        derived = {v.elements[i] for i in v.derived_subgroup_of(sub)}
+        assert derived == _brute_derived(els)

@@ -1,5 +1,6 @@
 import pytest
 
+from hopfgalois.engine import GroupView
 from hopfgalois.errors import PreconditionError
 from hopfgalois.permgroup import (
     PermGroup,
@@ -197,6 +198,16 @@ def test_immutability_and_eq():
     assert g == h
     assert hash(g) == hash(h)
     assert g.generators == h.generators  # normalized sorted generators
+
+
+def test_group_from_elements_trivial_builds_no_view(monkeypatch):
+    def no_view(*args):
+        raise AssertionError("a view was built for the trivial group")
+
+    monkeypatch.setattr(GroupView, "from_perm_elements", no_view)
+    for els in ([], [identity(6)]):
+        T = group_from_elements(6, els)
+        assert T.order() == 1 and T.degree == 6 and T.generators == ()
 
 
 def test_group_from_elements_reproduces_element_sets():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hopfgalois.perms import (
@@ -7,6 +9,7 @@ from hopfgalois.perms import (
     format_images,
     identity,
     inverse,
+    is_identity,
     make_perm,
     parse_perm,
     perm_order,
@@ -71,3 +74,23 @@ def test_big_degree_uses_tuples():
     assert isinstance(p, tuple)
     assert perm_order(p) == 300
     assert compose(p, inverse(p)) == identity(300)
+
+
+@pytest.mark.parametrize("degree", [1, 8, 255, 256, 300])
+def test_inverse_and_is_identity_match_definitions(degree):
+    """Against the loop definitions, on bytes (degree <= 256) and tuples."""
+    rng = random.Random(degree)
+    perms = [identity(degree)]
+    for _ in range(20):
+        images = list(range(degree))
+        rng.shuffle(images)
+        perms.append(make_perm(images))
+    if degree > 1:  # one transposition: a single moved pair
+        perms.append(make_perm([1, 0] + list(range(2, degree))))
+    for p in perms:
+        inv = [0] * degree
+        for i, j in enumerate(p):
+            inv[j] = i
+        assert inverse(p) == make_perm(inv)
+        assert type(inverse(p)) is type(p)
+        assert is_identity(p) == all(i == x for i, x in enumerate(p))

@@ -1,5 +1,6 @@
 import pytest
 
+from hopfgalois.engine import view_of
 from hopfgalois.errors import PreconditionError, ResourceLimitError
 from hopfgalois.groups import groups_of_order
 from hopfgalois.holomorph import holomorph
@@ -11,10 +12,12 @@ from hopfgalois.subgroups import (
     classify_index_n,
     index_n_subgroup_classes,
     is_solvable,
+    _conjugacy_orbit,
+    _Lattice,
     transitive_subgroup_classes,
 )
 
-from oracles import brute_subgroup_classes
+from oracles import brute_subgroup_classes, perfect_subgroups
 
 
 def S3():
@@ -108,6 +111,44 @@ def test_transitive_subgroup_classes_hol_c2():
 def test_solvability():
     assert is_solvable(S3())
     assert not is_solvable(PermGroup(5, [parse_perm("(0 1 2 3 4)"), parse_perm("(0 1)")]))
+
+
+def _hol_c2_cubed():
+    return next(
+        h.group for h in map(holomorph, groups_of_order(8).groups) if h.group.order() == 1344
+    )
+
+
+PERFECT_SEEDING_CASES = [
+    ("Sym(5)", lambda: PermGroup(5, [parse_perm("(0 1 2 3 4)"), parse_perm("(0 1)")])),
+    # PSL(2,7) on the projective line over F_7 (point 7 is infinity): the
+    # nonsolvable order-168 entry of the degree-8 catalogue
+    ("PSL(2,7)", lambda: PermGroup(8, [parse_perm("(0 1 2 3 4 5 6)", 8),
+                                       parse_perm("(0 7)(1 6)(2 3)(4 5)")])),
+    ("Hol(C2^3)", _hol_c2_cubed),
+    # G^(oo) is proper in the last two, so the sweep runs on a view of its
+    # own; A6 has two classes of A5, which Sym(6) does not fuse
+    ("Sym(5)xSym(3)", lambda: PermGroup(8, [parse_perm("(0 1 2 3 4)", 8), parse_perm("(0 1)", 8),
+                                            parse_perm("(5 6 7)"), parse_perm("(5 6)", 8)])),
+    ("Sym(6)", lambda: PermGroup(6, [parse_perm("(0 1 2 3 4 5)"), parse_perm("(0 1)", 6)])),
+]
+
+
+@pytest.mark.parametrize("name,make", PERFECT_SEEDING_CASES)
+def test_perfect_seeding_matches_old_sweep(name, make):
+    """The lattice seeds the same classes of nontrivial perfect subgroups
+    as the sweep over every class representative and centralizer orbit of
+    the whole group, kept as oracles.perfect_subgroups."""
+    G = make()
+    if name == "PSL(2,7)":
+        assert G.order() == 168 and G.is_transitive()
+    lat = _Lattice(G)
+    lat.seed()
+    seeded = {rec["key"] for rec in lat.classes if rec["order"] > 1}
+    view = view_of(G)
+    maps = view.generator_conjugation_maps()
+    expected = {_conjugacy_orbit(maps, P)[1] for P in perfect_subgroups(view)}
+    assert expected and seeded == expected
 
 
 def test_classify_cyclic_regular():
