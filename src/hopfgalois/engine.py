@@ -6,9 +6,11 @@ subgroup closures on those indices.  Views come in two flavours: backed by
 a multiplication table (abstract groups) or by a sorted list of
 permutations (subgroups of a symmetric group).  Small permutation-backed
 views materialize Cayley rows lazily so hot loops run on plain ints.
-Conjugation on permutation-backed views composes the permutations
-themselves, so it builds no Cayley row; those views also know each
-element's cycle type.
+Conjugation and right multiplication of a list of elements on
+permutation-backed views compose the permutations themselves, so they
+build no Cayley row.  Those views also know each element's cycle type,
+computed once per conjugacy class when the view has its group's
+generators, and derive the element orders from it.
 """
 
 from __future__ import annotations
@@ -162,12 +164,23 @@ class GroupView:
 
     def cycle_types(self) -> list:
         """Per element, its cycle type (permutation-backed views only); equal
-        types are one shared tuple."""
+        types are one shared tuple.  Views that know their generators take
+        one type per conjugacy class, which conjugation in Sym(n) keeps;
+        the others need the types for their generators, so go element by
+        element."""
         if self._cycle_types is None:
             interned = {}
-            self._cycle_types = [
-                interned.setdefault(t, t) for t in map(cycle_type, self.elements)
-            ]
+            els = self.elements
+            if self._gens is None:
+                types = [interned.setdefault(t, t) for t in map(cycle_type, els)]
+            else:
+                types = [None] * self.size
+                for c in self.conj_classes():
+                    t = cycle_type(els[c[0]])
+                    t = interned.setdefault(t, t)
+                    for i in c:
+                        types[i] = t
+            self._cycle_types = types
         return self._cycle_types
 
     def power_map(self, p: int):
@@ -301,6 +314,20 @@ class GroupView:
         els = self.elements
         gp, gip = els[g], els[gi]
         return [idx[compose(gp, compose(els[x], gip))] for x in xs]
+
+    def right_multiples(self, xs, g: int) -> list[int]:
+        """[x g for x in xs].  Permutation-backed views compose the
+        permutations directly, which costs no Cayley row."""
+        if self.elements is None:
+            table = self._table
+            return [table[x][g] for x in xs]
+        idx = self._index
+        q = self.elements[g]
+        if self._pads is not None:
+            pads = self._pads
+            return [idx[q.translate(pads[x])] for x in xs]
+        els = self.elements
+        return [idx[compose(els[x], q)] for x in xs]
 
     def conjugation_map(self, g: int):
         """Array m with m[x] = g x g^{-1}."""

@@ -22,7 +22,7 @@ from .engine import view_of
 from .errors import PreconditionError, ResourceLimitError
 from .homsearch import isomorphisms
 from .permgroup import PermGroup, coset_action
-from .perms import compose, cycle_length_at, cycle_type, inverse, make_perm
+from .perms import compose, cycle_length_at, cycle_type, inverse, make_perm, orbit_of_0
 
 DEFAULT_ISO_BOUND = 10_000
 
@@ -100,8 +100,8 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
 
     first_key = max(sizes, key=lambda k: (k[1], -sizes[k]))
     seq = [vg.elements[next(iter(vg.point_pools()[first_key].values()))[0]]]
-    while len(_orbit_of_0(seq)) < n:
-        seq.append(max(G.generators, key=lambda g: (len(_orbit_of_0(seq + [g])), -sizes[key(g)])))
+    while len(orbit_of_0(seq)) < n:
+        seq.append(max(G.generators, key=lambda g: (len(orbit_of_0(seq + [g])), -sizes[key(g)])))
     first = vm.point_pool_reps(first_key, [vm._index[h] for h in M_sub.generators])
     els = vm.elements
 
@@ -134,17 +134,6 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
     hit = bytearray(n)
     hit[0] = 1
     return search([], [0] + [-1] * (n - 1), hit, [0])
-
-
-def _orbit_of_0(perms) -> list:
-    orbit = [0]
-    seen = {0}
-    for x in orbit:
-        for p in perms:
-            if p[x] not in seen:
-                seen.add(p[x])
-                orbit.append(p[x])
-    return orbit
 
 
 def _extend_point_map(pairs, sigma, hit, orbit):

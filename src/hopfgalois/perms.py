@@ -96,6 +96,19 @@ def cycle_length_at(p, x: int) -> int:
     return k
 
 
+def orbit_of_0(perms) -> list:
+    """The orbit of point 0 under the group generated by ``perms``, in the
+    order of discovery."""
+    orbit = [0]
+    seen = {0}
+    for x in orbit:
+        for p in perms:
+            if p[x] not in seen:
+                seen.add(p[x])
+                orbit.append(p[x])
+    return orbit
+
+
 def cycle_decomposition(p) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its least point, sorted."""
     n = len(p)

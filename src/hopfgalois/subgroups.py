@@ -17,12 +17,14 @@ out of the same conjugation orbits.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from ._numtheory import factorize
 from .engine import GroupView, view_of
 from .errors import PreconditionError, ResourceLimitError
 from .permgroup import PermGroup
+from .perms import orbit_of_0
 
 DEFAULT_MAX_ORDER = 100_000
 
@@ -130,6 +132,19 @@ def _perfect_subgroups(view) -> list[frozenset]:
     return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
 
 
+def _preimages(power_map) -> tuple[array, array]:
+    """The inverse of a power map m, in two arrays (xs, start): the x with
+    m[x] = y are xs[start[y]:start[y + 1]], ascending."""
+    size = len(power_map)
+    xs = array("i", sorted(range(size), key=power_map.__getitem__))
+    start = array("i", [0]) * (size + 1)
+    for y in power_map:
+        start[y + 1] += 1
+    for y in range(size):
+        start[y + 1] += start[y]
+    return xs, start
+
+
 class _Lattice:
     def __init__(self, G: PermGroup, order_divides=None, max_order=DEFAULT_MAX_ORDER):
         if G.order() > max_order:
@@ -193,8 +208,7 @@ class _Lattice:
     def run(self):
         self.seed()
         view = self.view
-        mul = view.mul
-        orders = view.element_orders()
+        preimages = {}
         while self.worklist:
             cid = self.worklist.pop()
             rec = self.classes[cid]
@@ -209,44 +223,45 @@ class _Lattice:
                 continue
             u_gens = view.greedy_generators(U)
             rec["gens"] = u_gens
-            # candidate g with U <| <U, g> of prime index p: g normalizes U
-            # and g^p lies in U.  Scan cheap filters first: the order of g^p
-            # (= o/gcd(o,p)) must divide |U|.
+            # candidate g with U <| <U, g> of prime index p: g^p lies in U,
+            # so g is read off the preimages of U's elements under the p-th
+            # power map, and g normalizes U.  No g outside U has g^p and g^q
+            # in U for two primes, so each is tried at most once.
             covered = set(U)
-            for g in range(self.size):
-                if g in covered:
-                    continue
-                o = orders[g]
-                ext_prime = None
-                for p in allowed:
-                    if u_order % (o // (p if o % p == 0 else 1)) != 0:
-                        continue
-                    if view.power_map(p)[g] in U:
-                        ext_prime = p
-                        break
-                if ext_prime is None:
-                    continue
-                if any(x not in U for x in view.conjugates(g, u_gens)):
-                    continue
-                new_els = set(U)
-                coset = [mul(u, g) for u in U]
-                new_els.update(coset)
-                for _ in range(ext_prime - 2):
-                    coset = [mul(x, g) for x in coset]
-                    new_els.update(coset)
-                V = frozenset(new_els)
-                covered |= V
-                self.register(V)
+            for p in allowed:
+                pre = preimages.get(p)
+                if pre is None:
+                    pre = preimages[p] = _preimages(view.power_map(p))
+                xs, start = pre
+                for u in U:
+                    for g in xs[start[u]:start[u + 1]]:
+                        if g in covered:
+                            continue
+                        if any(x not in U for x in view.conjugates(g, u_gens)):
+                            continue
+                        new_els = set(U)
+                        coset = view.right_multiples(U, g)
+                        new_els.update(coset)
+                        for _ in range(p - 2):
+                            coset = view.right_multiples(coset, g)
+                            new_els.update(coset)
+                        V = frozenset(new_els)
+                        covered |= V
+                        self.register(V)
 
     # -- output ------------------------------------------------------------
 
-    def result(self) -> list[SubgroupClass]:
+    def result(self, keep=None) -> list[SubgroupClass]:
+        """The classes by (order, key); with ``keep``, only those for which
+        ``keep(order, generator permutations)`` holds, and only their
+        representatives are built."""
         view = self.view
         out = []
         for rec in self.classes:
-            rep_set = rec["rep"]
-            gens = rec.get("gens") or view.greedy_generators(rep_set)
-            rep = PermGroup(self.G.degree, [view.elements[i] for i in gens])
+            gens = [view.elements[i] for i in rec.get("gens") or view.greedy_generators(rec["rep"])]
+            if keep is not None and not keep(rec["order"], gens):
+                continue
+            rep = PermGroup(self.G.degree, gens)
             assert rep.order() == rec["order"]
             out.append(
                 SubgroupClass(
@@ -283,19 +298,19 @@ def index_n_subgroup_classes(
     if G.order() % n != 0:
         raise PreconditionError(f"index {n} does not divide |G| = {G.order()}")
     target = G.order() // n
-    classes = subgroup_classes_dividing(G, target, max_order=max_order)
-    return [c for c in classes if c.order == target]
+    lat = _Lattice(G, target, max_order)
+    lat.run()
+    return lat.result(lambda order, gens: order == target)
 
 
 def transitive_subgroup_classes(hol, *, max_order: int = DEFAULT_MAX_ORDER) -> list[SubgroupClass]:
     """Transitive subgroup classes of a holomorph, up to conjugacy there."""
-    classes = all_subgroup_classes(hol.group, max_order=max_order)
     degree = hol.group.degree
-    return [
-        c
-        for c in classes
-        if c.order % degree == 0 and c.representative.is_transitive()
-    ]
+    lat = _Lattice(hol.group, None, max_order)
+    lat.run()
+    return lat.result(
+        lambda order, gens: order % degree == 0 and len(orbit_of_0(gens)) == degree
+    )
 
 
 def class_key_of(G: PermGroup, H: PermGroup) -> tuple:

@@ -357,3 +357,65 @@ def perfect_subgroups(view):
                     new.append(fresh)
         frontier = new
     return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
+
+
+# -- the cyclic-extension loop before it read candidates off power-map preimages --
+#
+# Like perfect_subgroups, this runs the package's engine: it is the body of
+# _Lattice.run before the candidates came from the preimages of the power
+# maps and the cosets from composed permutations, kept as its reference.
+# It scans every element through the order, prime and power-map filters and
+# forms each coset with the view's mul.
+
+
+def extension_run(lat):
+    """Run the lattice ``lat`` (a fresh subgroups._Lattice) to completion."""
+    from hopfgalois._numtheory import factorize
+
+    self = lat
+    self.seed()
+    view = self.view
+    mul = view.mul
+    orders = view.element_orders()
+    while self.worklist:
+        cid = self.worklist.pop()
+        rec = self.classes[cid]
+        U = rec["rep"]
+        u_order = rec["order"]
+        allowed = [
+            p
+            for p, _ in factorize(self.size // u_order)
+            if self.target % (u_order * p) == 0
+        ]
+        if not allowed:
+            continue
+        u_gens = view.greedy_generators(U)
+        rec["gens"] = u_gens
+        # candidate g with U <| <U, g> of prime index p: g normalizes U
+        # and g^p lies in U.  Scan cheap filters first: the order of g^p
+        # (= o/gcd(o,p)) must divide |U|.
+        covered = set(U)
+        for g in range(self.size):
+            if g in covered:
+                continue
+            o = orders[g]
+            ext_prime = None
+            for p in allowed:
+                if u_order % (o // (p if o % p == 0 else 1)) != 0:
+                    continue
+                if view.power_map(p)[g] in U:
+                    ext_prime = p
+                    break
+            if ext_prime is None:
+                continue
+            if any(x not in U for x in view.conjugates(g, u_gens)):
+                continue
+            new_els = set(U)
+            coset = [mul(u, g) for u in U]
+            new_els.update(coset)
+            for _ in range(ext_prime - 2):
+                coset = [mul(x, g) for x in coset]
+                new_els.update(coset)
+            V = frozenset(new_els)
+            covered |= V
+            self.register(V)

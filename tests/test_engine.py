@@ -3,8 +3,9 @@ subgroups against the Cayley-table path and brute-force closures."""
 
 import pytest
 
-from hopfgalois.engine import CAYLEY_LIMIT, view_of
+from hopfgalois.engine import CAYLEY_LIMIT, GroupView, view_of
 from hopfgalois.groups import groups_of_order
+from hopfgalois.holomorph import holomorph
 from hopfgalois.permgroup import PermGroup
 from hopfgalois.perms import compose, cycle_type, inverse, make_perm, parse_perm, perm_order
 
@@ -78,9 +79,18 @@ def test_center_sizes_known():
     assert view_of(PermGroup(5, [parse_perm("(0 1 2 3 4)")])).center_size() == 5
 
 
-@pytest.mark.parametrize("which", range(3))
+def _permutation_views():
+    """The permutation-backed views of _views(), the largest degree-55
+    holomorph (a catalogue entry), and a view built from an element set."""
+    hol = max((holomorph(N).group for N in groups_of_order(55).groups), key=lambda G: G.order())
+    assert hol.order() >= 1210 and hol.is_transitive()
+    fallback = GroupView.from_perm_elements(_sym(5).elements(), parse_perm("()", 5))
+    return _views()[:3] + [view_of(hol), fallback]
+
+
+@pytest.mark.parametrize("which", range(5))
 def test_cycle_types_and_orders(which):
-    v = _views()[which]
+    v = _permutation_views()[which]
     types = v.cycle_types()
     interned = {}
     for p, t, o in zip(v.elements, types, v.element_orders()):
@@ -88,6 +98,9 @@ def test_cycle_types_and_orders(which):
         assert o == perm_order(p)
         assert interned.setdefault(t, t) is t
     assert sum(k for _, k in v.cycle_type_multiset()) == v.size
+    # views of a group take one type per conjugacy class; a view of an
+    # element set has no generators before its orders, so builds no classes
+    assert (v._classes is not None) == (which < 4)
 
 
 def test_cycle_type_multiset_is_a_conjugacy_invariant():

@@ -17,7 +17,7 @@ from hopfgalois.subgroups import (
     transitive_subgroup_classes,
 )
 
-from oracles import brute_subgroup_classes, perfect_subgroups
+from oracles import brute_subgroup_classes, extension_run, perfect_subgroups
 
 
 def S3():
@@ -149,6 +149,46 @@ def test_perfect_seeding_matches_old_sweep(name, make):
     maps = view.generator_conjugation_maps()
     expected = {_conjugacy_orbit(maps, P)[1] for P in perfect_subgroups(view)}
     assert expected and seeded == expected
+
+
+def _described(classes):
+    return [(c.order, c.class_size, c.key, c.representative.generators) for c in classes]
+
+
+def _old_loop_classes(G, order_divides=None):
+    lat = _Lattice(G, order_divides)
+    extension_run(lat)
+    return lat.result()
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_extension_loop_matches_old_loop_on_holomorphs(n):
+    """The lattice and its transitive classes give the same orders, class
+    sizes, keys and generators as the extension loop that scanned every
+    element and formed cosets with mul, kept as oracles.extension_run."""
+    for N in groups_of_order(n).groups:
+        hol = holomorph(N)
+        old = _old_loop_classes(hol.group)
+        assert _described(all_subgroup_classes(hol.group)) == _described(old)
+        old_transitive = [
+            c for c in old if c.order % n == 0 and c.representative.is_transitive()
+        ]
+        assert _described(transitive_subgroup_classes(hol)) == _described(old_transitive)
+
+
+def test_extension_loop_matches_old_loop_on_degree_8_index_n():
+    """The index-8 lattice of every degree-8 catalogue entry, against the
+    old extension loop."""
+    entries = [
+        c.representative
+        for N in groups_of_order(8).groups
+        for c in transitive_subgroup_classes(holomorph(N))
+    ]
+    assert len(entries) == 148
+    for G in entries:
+        target = G.order() // 8
+        old = [c for c in _old_loop_classes(G, target) if c.order == target]
+        assert old and _described(index_n_subgroup_classes(G, 8)) == _described(old)
 
 
 def test_classify_cyclic_regular():
