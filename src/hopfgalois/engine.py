@@ -6,11 +6,13 @@ subgroup closures on those indices.  Views come in two flavours: backed by
 a multiplication table (abstract groups) or by a sorted list of
 permutations (subgroups of a symmetric group).  Small permutation-backed
 views materialize Cayley rows lazily so hot loops run on plain ints.
-Conjugation and right multiplication of a list of elements on
+Conjugation and left and right multiplication of a list of elements on
 permutation-backed views compose the permutations themselves, so they
-build no Cayley row.  Those views also know each element's cycle type,
-computed once per conjugacy class when the view has its group's
-generators, and derive the element orders from it.
+build no Cayley row.  Those views also know each element's cycle type
+and p-th power, computed once per conjugacy class when the view has its
+group's generators (the power is carried along the class by the
+generators' conjugation maps), and derive the element orders from the
+cycle types.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from array import array
 from collections import Counter
 
-from .perms import compose, cycle_length_at, cycle_type, inverse, pad256, power
+from .perms import compose, cycle_length_at, cycle_type, inverse, left_multiples, pad256, power
 
 CAYLEY_LIMIT = 2048
 
@@ -185,7 +187,10 @@ class GroupView:
 
     def power_map(self, p: int):
         """Array m with m[x] = x^p, built once per exponent; permutation-backed
-        views take the powers of the permutations, so no Cayley row is built."""
+        views take the powers of the permutations, so no Cayley row is built.
+        Views that know their generators power one element per conjugacy
+        class and carry it along the class by the generators' conjugation
+        maps c, since c(y)^p = c(y^p); the others power every element."""
         if self._powers is None:
             self._powers = {}
         m = self._powers.get(p)
@@ -194,9 +199,21 @@ class GroupView:
                 m = array("i", range(self.size))
                 for _ in range(p - 1):
                     m = array("i", [self.mul(x, y) for x, y in enumerate(m)])
-            else:
+            elif self._gens is None:
                 idx = self._index
                 m = array("i", [idx[power(x, p)] for x in self.elements])
+            else:
+                maps = self.generator_conjugation_maps()
+                m = array("i", [-1]) * self.size
+                for c in self.conj_classes():
+                    m[c[0]] = self._index[power(self.elements[c[0]], p)]
+                    walk = [c[0]]
+                    for y in walk:
+                        for cm in maps:
+                            z = cm[y]
+                            if m[z] < 0:
+                                m[z] = cm[m[y]]
+                                walk.append(z)
             self._powers[p] = m
         return m
 
@@ -314,6 +331,16 @@ class GroupView:
         els = self.elements
         gp, gip = els[g], els[gi]
         return [idx[compose(gp, compose(els[x], gip))] for x in xs]
+
+    def left_multiples(self, g: int, xs) -> list[int]:
+        """[g x for x in xs].  Permutation-backed views compose the
+        permutations directly, which costs no Cayley row."""
+        if self.elements is None:
+            row = self._table[g]
+            return [row[x] for x in xs]
+        els = self.elements
+        products = left_multiples(els[g], map(els.__getitem__, xs))
+        return list(map(self._index.__getitem__, products))
 
     def right_multiples(self, xs, g: int) -> list[int]:
         """[x g for x in xs].  Permutation-backed views compose the

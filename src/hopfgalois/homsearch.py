@@ -6,7 +6,10 @@ images are restricted to the designated target subgroup), and extends
 candidate image tuples via a precomputed word schedule: every element of
 the partial subgroup is written once as ``gen * earlier_element`` and all
 remaining Cayley edges become consistency checks, interleaved in discovery
-order so a bad candidate dies on its first inconsistent edge.
+order so a bad candidate dies on its first inconsistent edge.  On a
+bytes-backed target the images are carried as the target's permutations
+and each edge composes them, so the search builds no Cayley row there;
+target indices are looked up once per solution.
 
 A generator's candidate images are the target elements with its
 fingerprint, (order, conjugacy class size), in index order.  When every
@@ -117,28 +120,40 @@ def isomorphisms(
         return
     depth = len(gens)
     bmul = B.mul
+    # Bytes-backed targets carry images as B's permutations, and a product
+    # g * x is x translated by g's padded table: no Cayley row is built.
+    pads = B._pads
+    if pads is None:
+        values = index = range(B.size)
+    else:
+        values, index = B.elements, B._index
 
     # images of each schedule's elements, stacked per depth
-    img_stack: list[list[int]] = []
+    img_stack: list[list] = []
     gen_imgs: list[int] = []
+    gen_vals: list = []
 
     def extend(t):
         sched = schedules[t]
-        prev_imgs = img_stack[t - 1] if t else [B.identity]
+        prev_imgs = img_stack[t - 1] if t else [values[B.identity]]
         prev_elements = schedules[t - 1].elements if t else [A.identity]
         carry = {x: prev_imgs[i] for i, x in enumerate(prev_elements)}
-        base = [carry.get(x, -1) for x in sched.elements]
+        base = [carry.get(x) for x in sched.elements]
         for cand in pools[t]:
             img = list(base)
             gen_imgs.append(cand)
+            gen_vals.append(cand if pads is None else pads[cand])
             ok = True
             for is_check, target, slot, source in sched.ops:
-                value = bmul(gen_imgs[slot], img[source])
+                if pads is None:
+                    value = bmul(gen_vals[slot], img[source])
+                else:
+                    value = img[source].translate(gen_vals[slot])
                 if is_check:
                     if img[target] != value:
                         ok = False
                         break
-                elif img[target] < 0:
+                elif img[target] is None:
                     img[target] = value
                 elif img[target] != value:
                     ok = False
@@ -147,17 +162,23 @@ def isomorphisms(
                 img_stack.append(img)
                 if t + 1 == depth:
                     yield list(gens), list(gen_imgs), {
-                        x: img[i] for i, x in enumerate(sched.elements)
+                        x: index[img[i]] for i, x in enumerate(sched.elements)
                     }
                 else:
                     yield from extend(t + 1)
                 img_stack.pop()
+            gen_vals.pop()
             gen_imgs.pop()
 
-    for result in extend(0):
-        yield result
-        if first_only:
-            return
+    try:
+        for result in extend(0):
+            yield result
+            if first_only:
+                return
+    finally:
+        # extend refers to itself; dropping it frees the search's schedules
+        # and image lists now instead of at the next cyclic collection
+        del extend
 
 
 def automorphisms(view: GroupView, *, sub: frozenset | None = None):

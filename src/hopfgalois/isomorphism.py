@@ -166,14 +166,17 @@ def _witness_from(va, vb, gens, images) -> PairWitness:
 
 
 def _replay_verifies(va, vb, full_map, sub_a=None, sub_b=None) -> bool:
-    """Re-check a found map: bijective, multiplicative, subgroup onto subgroup."""
+    """Re-check a found map f: bijective, multiplicative (f(g a) = f(g) f(a)
+    for every generator g and element a), subgroup onto subgroup.  The
+    products compose permutations on permutation-backed views, so the
+    replay builds no Cayley row."""
     if len(full_map) != va.size or len(set(full_map.values())) != vb.size:
         return False
-    for a in range(va.size):
-        fa = full_map[a]
-        for g in va.generators():
-            if full_map[va.mul(g, a)] != vb.mul(full_map[g], fa):
-                return False
+    images = [full_map[a] for a in range(va.size)]
+    for g in va.generators():
+        products = va.left_multiples(g, range(va.size))
+        if [images[x] for x in products] != vb.left_multiples(full_map[g], images):
+            return False
     if sub_a is not None:
         if {full_map[x] for x in sub_a} != set(sub_b):
             return False

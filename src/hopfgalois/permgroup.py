@@ -9,6 +9,7 @@ are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .engine import GroupView
 from .errors import PreconditionError
@@ -18,6 +19,7 @@ from .perms import (
     identity,
     inverse,
     is_identity,
+    left_multiples,
     make_perm,
     parse_perm,
 )
@@ -332,18 +334,19 @@ class CosetActionResult:
 
     def image_of_element(self, x):
         """The permutation of cosets induced by x (x must lie in G)."""
-        n = len(self._reps)
-        return make_perm([self._coset_of[compose(x, r)] for r in self._reps])
+        return make_perm(map(self._coset_of.__getitem__, left_multiples(x, self._reps)))
 
 
 def coset_action(G: PermGroup, H: PermGroup) -> CosetActionResult:
+    """The action of G on the left cosets x H, enumerated from the identity
+    coset by G's generators.  Each new coset's elements x h (h in H) are
+    composed through one translation table of x, and an h of H lies in the
+    kernel when h r H = r H for every coset representative r."""
     _require_subgroup(G, H)
     degree = G.degree
     h_elements = H.elements()
-    coset_of = {}
+    coset_of = dict.fromkeys(h_elements, 0)
     reps = [identity(degree)]
-    for h in h_elements:
-        coset_of[h] = 0
     queue = 0
     while queue < len(reps):
         r = reps[queue]
@@ -351,17 +354,18 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetActionResult:
         for g in G.generators:
             x = compose(g, r)
             if x not in coset_of:
-                cid = len(reps)
+                coset_of.update(zip(left_multiples(x, h_elements), repeat(len(reps))))
                 reps.append(x)
-                for h in h_elements:
-                    coset_of[compose(x, h)] = cid
     index = len(reps)
     if index * H.order() != G.order():
         raise PreconditionError("coset enumeration mismatch; H is not a subgroup of G")
-    image_gens = [make_perm([coset_of[compose(g, r)] for r in reps]) for g in G.generators]
+    cosets = coset_of.__getitem__
+    image_gens = [make_perm(map(cosets, left_multiples(g, reps))) for g in G.generators]
     image = PermGroup(max(index, 1), image_gens)
     kernel_els = [
-        h for h in h_elements if all(coset_of[compose(h, r)] == i for i, r in enumerate(reps))
+        h
+        for h in h_elements
+        if all(cosets(y) == i for i, y in enumerate(left_multiples(h, reps)))
     ]
     kernel = group_from_elements(degree, kernel_els)
     return CosetActionResult(image, kernel, 0, coset_of, reps)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import repeat
 
 _BYTES_MAX = 256
 _ID256 = bytes(range(_BYTES_MAX))
@@ -50,6 +51,13 @@ def compose(p, q):
 def pad256(p: bytes) -> bytes:
     """Translation table for use as a left factor: compose = q.translate(pad)."""
     return p if len(p) == _BYTES_MAX else p + _ID256[len(p):]
+
+
+def left_multiples(p, qs):
+    """Iterator over compose(p, q) for q in qs, with p's table padded once."""
+    if isinstance(p, bytes):
+        return map(bytes.translate, qs, repeat(pad256(p)))
+    return map(compose, repeat(p), qs)
 
 
 def inverse(p):

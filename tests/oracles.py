@@ -419,3 +419,118 @@ def extension_run(lat):
             V = frozenset(new_els)
             covered |= V
             self.register(V)
+
+
+# -- the witness search before it carried images as permutations ------------
+#
+# Like same_order_scan, this runs the package's engine: it is
+# homsearch.isomorphisms before extend composed the target's permutations,
+# kept as its reference.  Every product goes through the target view's mul,
+# so it reads (and builds) the target's Cayley rows.
+
+
+def row_isomorphisms(
+    A,
+    B,
+    *,
+    sub_a=None,
+    sub_b=None,
+    first_only=True,
+    by_cycle_type=False,
+):
+    """Yield isomorphisms A -> B as ``(gens, gen_images, full_map)``."""
+    from hopfgalois.homsearch import _adapted_generators, _candidate_pools, _Schedule
+
+    if A.size != B.size:
+        return
+    if (sub_a is None) != (sub_b is None):
+        raise ValueError("sub_a and sub_b must be given together")
+    if sub_a is not None and len(sub_a) != len(sub_b):
+        return
+    if A.size == 1:
+        yield [], [], {A.identity: B.identity}
+        return
+    gens, cut = _adapted_generators(A, sub_a)
+    schedules = [_Schedule(A, gens[: t + 1], A.identity) for t in range(len(gens))]
+    pools = _candidate_pools(A, B, gens, cut, sub_b, by_cycle_type)
+    if any(not p for p in pools):
+        return
+    depth = len(gens)
+    bmul = B.mul
+
+    # images of each schedule's elements, stacked per depth
+    img_stack: list[list[int]] = []
+    gen_imgs: list[int] = []
+
+    def extend(t):
+        sched = schedules[t]
+        prev_imgs = img_stack[t - 1] if t else [B.identity]
+        prev_elements = schedules[t - 1].elements if t else [A.identity]
+        carry = {x: prev_imgs[i] for i, x in enumerate(prev_elements)}
+        base = [carry.get(x, -1) for x in sched.elements]
+        for cand in pools[t]:
+            img = list(base)
+            gen_imgs.append(cand)
+            ok = True
+            for is_check, target, slot, source in sched.ops:
+                value = bmul(gen_imgs[slot], img[source])
+                if is_check:
+                    if img[target] != value:
+                        ok = False
+                        break
+                elif img[target] < 0:
+                    img[target] = value
+                elif img[target] != value:
+                    ok = False
+                    break
+            if ok and len(set(img)) == sched.order:
+                img_stack.append(img)
+                if t + 1 == depth:
+                    yield list(gens), list(gen_imgs), {
+                        x: img[i] for i, x in enumerate(sched.elements)
+                    }
+                else:
+                    yield from extend(t + 1)
+                img_stack.pop()
+            gen_imgs.pop()
+
+    for result in extend(0):
+        yield result
+        if first_only:
+            return
+
+
+# -- the coset action before it padded each coset representative once -------
+#
+# The body of permgroup.coset_action before the cosets were filled through
+# one padded table per representative, kept as its reference.  Every
+# product goes through perms.compose, which pads its left factor each time.
+
+
+def compose_coset_action(G, H):
+    """(reps, coset_of, image generators, kernel elements) of the action of
+    G on the left cosets of H."""
+    from hopfgalois.perms import make_perm
+
+    degree = G.degree
+    h_elements = H.elements()
+    coset_of = {}
+    reps = [identity(degree)]
+    for h in h_elements:
+        coset_of[h] = 0
+    queue = 0
+    while queue < len(reps):
+        r = reps[queue]
+        queue += 1
+        for g in G.generators:
+            x = compose(g, r)
+            if x not in coset_of:
+                cid = len(reps)
+                reps.append(x)
+                for h in h_elements:
+                    coset_of[compose(x, h)] = cid
+    image_gens = [make_perm([coset_of[compose(g, r)] for r in reps]) for g in G.generators]
+    kernel_els = [
+        h for h in h_elements if all(coset_of[compose(h, r)] == i for i, r in enumerate(reps))
+    ]
+    return reps, coset_of, image_gens, kernel_els

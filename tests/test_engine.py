@@ -7,7 +7,7 @@ from hopfgalois.engine import CAYLEY_LIMIT, GroupView, view_of
 from hopfgalois.groups import groups_of_order
 from hopfgalois.holomorph import holomorph
 from hopfgalois.permgroup import PermGroup
-from hopfgalois.perms import compose, cycle_type, inverse, make_perm, parse_perm, perm_order
+from hopfgalois.perms import compose, cycle_type, inverse, make_perm, parse_perm, perm_order, power
 
 from oracles import mulclose
 from test_subgroups import ORACLE_CORPUS
@@ -124,6 +124,25 @@ def test_power_map_matches_products(which, p):
             y = v.mul(x, y)
         assert powers[x] == y
     assert v.power_map(p) is powers
+
+
+def _power_views():
+    """The order-2200 degree-55 holomorph Hol(C55), the degree-300 tuple view
+    and a view of Sym(5) built from its element set, which has no generators."""
+    hol = next(G for G in (holomorph(N).group for N in groups_of_order(55).groups)
+               if G.order() == 2200)
+    fallback = GroupView.from_perm_elements(_sym(5).elements(), parse_perm("()", 5))
+    return [view_of(hol), _views()[2], fallback]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_power_map_matches_perm_powers(which):
+    """The class walk of views with generators, and the element loop of the
+    others, give each element's power as perms.power does."""
+    v = _power_views()[which]
+    for p in (2, 3, 5, 11):
+        assert list(v.power_map(p)) == [v._index[power(x, p)] for x in v.elements]
+    assert (v._gens is None) == (which == 2)
 
 
 def test_power_map_and_conjugates_build_no_cayley_row():

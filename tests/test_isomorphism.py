@@ -282,3 +282,114 @@ def test_point_map_degree_55_entry_51():
     s_inv = inverse(sigma)
     assert all(compose(sigma, compose(g, s_inv)) in entry.group for g in J.generators)
     assert pair_isomorphic(J, J_sub, entry.group, entry.stabilizer) is not None
+
+
+# -- the witness search against its Cayley-row oracle ------------------------
+
+
+def _same_results(A, B, limit=None, **kwargs):
+    """The package's search and oracles.row_isomorphisms yield the same
+    (gens, images, full_map) sequence (its first ``limit`` items if given).
+    The package runs first, so the oracle's rows cannot serve it."""
+    from itertools import islice
+
+    from hopfgalois.homsearch import isomorphisms
+    from oracles import row_isomorphisms
+
+    got = list(islice(isomorphisms(A, B, **kwargs), limit))
+    assert got == list(islice(row_isomorphisms(A, B, **kwargs), limit))
+    return got
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_isomorphisms_equal_row_oracle_on_holomorphs(n):
+    """Every automorphism of each holomorph of order-n groups, in the
+    oracle's order, onto a separately built view of the same group; Hol(C2^3)
+    has 2688 of them, so only the first 100 are compared."""
+    from hopfgalois.holomorph import holomorph
+
+    for N in groups_of_order(n).groups:
+        G = holomorph(N).group
+        B = view_of(PermGroup(G.degree, G.generators))
+        assert _same_results(view_of(G), B, limit=100, first_only=False)
+
+
+def _recorded_pair_tests(monkeypatch, module, run):
+    """The (G, G_sub, M, M_sub) of every pair_isomorphic call that ``run``
+    makes through ``module``."""
+    calls = []
+
+    def recording(G, G_sub, M, M_sub, **kwargs):
+        calls.append((G, G_sub, M, M_sub))
+        return pair_isomorphic(G, G_sub, M, M_sub, **kwargs)
+
+    monkeypatch.setattr(module, "pair_isomorphic", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _search_args(G, G_sub, M, M_sub):
+    va, vb = view_of(G), view_of(M)
+    subs = {"sub_a": frozenset(va._index[h] for h in G_sub.elements()),
+            "sub_b": frozenset(vb._index[h] for h in M_sub.elements())}
+    return va, vb, subs
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, monkeypatch):
+    """Every pair test analyze_parallel makes, searched with and without
+    cycle-type candidates."""
+    from hopfgalois import pipeline
+
+    catalogue = pipeline.build_catalogue(n)
+    calls = _recorded_pair_tests(
+        monkeypatch, pipeline,
+        lambda: [pipeline.analyze_parallel(e, catalogue) for e in catalogue])
+    assert calls
+    for call in calls:
+        va, vb, subs = _search_args(*call)
+        for by_cycle_type in (True, False):
+            _same_results(va, vb, by_cycle_type=by_cycle_type, **subs)
+
+
+def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
+    """Every pair test of G against itself that classify_index_n makes
+    under verify_pq(7, 3)."""
+    import hopfgalois.isomorphism as iso
+    from hopfgalois.pqtheory import verify_pq
+
+    calls = _recorded_pair_tests(monkeypatch, iso, lambda: verify_pq(7, 3))
+    assert calls and all(G is M for G, _, M, _ in calls)
+    for G, G_sub, M, M_sub in calls:
+        va, vb, subs = _search_args(G, G_sub, M, M_sub)
+        by_cycle_type = is_point_stabilizer_pair(G, G_sub) and is_point_stabilizer_pair(M, M_sub)
+        _same_results(va, vb, by_cycle_type=by_cycle_type, **subs)
+
+
+def test_witness_search_and_replay_build_no_row_on_the_target(monkeypatch):
+    """Each match analyze_parallel finds at degree 12, found again against a
+    freshly built view of the catalogue pair: same witness, and neither the
+    search nor its replay builds a Cayley row of the target."""
+    from hopfgalois import pipeline
+    from hopfgalois.homsearch import isomorphisms
+    from hopfgalois.isomorphism import _replay_verifies
+
+    catalogue = pipeline.build_catalogue(12)
+    calls = _recorded_pair_tests(
+        monkeypatch, pipeline,
+        lambda: [pipeline.analyze_parallel(e, catalogue) for e in catalogue])
+    matches = [(call, w) for call in calls if (w := pair_isomorphic(*call)) is not None]
+    assert matches
+    for (J, J_sub, M, M_sub), witness in matches:
+        fresh, fresh_sub = PermGroup(12, M.generators), PermGroup(12, M_sub.generators)
+        assert pair_isomorphic(J, J_sub, fresh, fresh_sub) == witness
+        rows = view_of(fresh)._rows
+        assert rows is not None and all(row is None for row in rows)
+        # the search and the replay on their own
+        fresh, fresh_sub = PermGroup(12, M.generators), PermGroup(12, M_sub.generators)
+        va, vb, subs = _search_args(J, J_sub, fresh, fresh_sub)
+        _, _, full = next(isomorphisms(va, vb, by_cycle_type=True, **subs))
+        assert all(row is None for row in vb._rows)
+        assert _replay_verifies(va, vb, full, subs["sub_a"], subs["sub_b"])
+        assert all(row is None for row in vb._rows)

@@ -151,6 +151,28 @@ def test_coset_action_regular_reconstruction():
         assert res.kernel.is_trivial()
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_coset_action_matches_compose_oracle(n):
+    """On every index-n class of every degree-n catalogue entry: the same
+    coset representatives and coset numbering, generator images and kernel
+    as the action composed through perms.compose."""
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import index_n_subgroup_classes
+    from oracles import compose_coset_action
+
+    for entry in build_catalogue(n):
+        G = entry.group
+        for cls in index_n_subgroup_classes(G, n):
+            H = cls.representative
+            res = coset_action(G, H)
+            reps, coset_of, image_gens, kernel_els = compose_coset_action(G, H)
+            assert res._reps == reps
+            assert list(res._coset_of.items()) == list(coset_of.items())
+            assert [res.image_of_element(g) for g in G.generators] == image_gens
+            assert res.image == PermGroup(len(reps), image_gens)
+            assert set(res.kernel.elements()) == set(kernel_els)
+
+
 def test_coset_action_requires_subgroup():
     with pytest.raises(PreconditionError):
         coset_action(PermGroup(4, [parse_perm("(0 1 2 3)")]), PermGroup(4, [parse_perm("(0 1)")]))

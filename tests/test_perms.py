@@ -10,6 +10,7 @@ from hopfgalois.perms import (
     identity,
     inverse,
     is_identity,
+    left_multiples,
     make_perm,
     parse_perm,
     perm_order,
@@ -94,3 +95,11 @@ def test_inverse_and_is_identity_match_definitions(degree):
         assert inverse(p) == make_perm(inv)
         assert type(inverse(p)) is type(p)
         assert is_identity(p) == all(i == x for i, x in enumerate(p))
+
+
+@pytest.mark.parametrize("degree", [5, 256, 300])
+def test_left_multiples_compose(degree):
+    rng = random.Random(degree)
+    p = make_perm(rng.sample(range(degree), degree))
+    qs = [make_perm(rng.sample(range(degree), degree)) for _ in range(4)]
+    assert list(left_multiples(p, qs)) == [compose(p, q) for q in qs]
