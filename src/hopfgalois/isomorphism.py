@@ -11,7 +11,10 @@ fixing 0 (the two actions are equivalent to the actions on the cosets of
 the stabilizers).  Such pairs are decided by searching for that bijection
 (``point_map``); the generator-image search runs only once it exists, to
 produce the witness, with each generator's candidate images sharing its
-cycle type.
+cycle type.  The same backtrack decides which subgroups of one transitive
+group an automorphism keeping Stab(0)'s class carries into which classes,
+on the group's points and one subgroup's cosets side by side
+(``TwoBlockMaps``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .engine import view_of
 from .errors import PreconditionError, ResourceLimitError
 from .homsearch import isomorphisms
 from .permgroup import PermGroup, coset_action
-from .perms import compose, cycle_length_at, cycle_type, inverse, make_perm, orbit_of_0
+from .perms import compose, cycle_length_at, cycle_type, inverse, make_perm, orbit_of
 
 DEFAULT_ISO_BOUND = 10_000
 
@@ -83,47 +86,94 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
     cycle through 0, is mapped only up to conjugation by M_sub (if s works,
     so does h s for h in M_sub); generators of G follow while they add
     points.  Their images are chosen among M's elements of the same key, one
-    at a time; after each choice s is extended by breadth-first search from
-    0 and the choice is dropped once s is not well defined or not injective.
-    A total s that conjugates G's generators into M conjugates G onto M,
-    since the orders agree.
+    at a time (``_point_search``).  A total s that conjugates G's generators
+    into M conjugates G onto M, since the orders agree.
     """
     vg, vm = view_of(G), view_of(M)
-    n = G.degree
     pools = vm.point_pools()
-    sizes = {k: sum(map(len, b.values())) for k, b in pools.items()}
-    if sizes != {k: sum(map(len, b.values())) for k, b in vg.point_pools().items()}:
+    sizes = _pool_sizes(pools)
+    if sizes != _pool_sizes(vg.point_pools()):
         return None
 
     def key(g):
         return cycle_type(g), cycle_length_at(g, 0)
 
-    first_key = max(sizes, key=lambda k: (k[1], -sizes[k]))
-    seq = [vg.elements[next(iter(vg.point_pools()[first_key].values()))[0]]]
-    while len(orbit_of_0(seq)) < n:
-        seq.append(max(G.generators, key=lambda g: (len(orbit_of_0(seq + [g])), -sizes[key(g)])))
+    first_key = _first_key(sizes)
+    seq = _covering_sequence(
+        vg.elements[next(iter(vg.point_pools()[first_key].values()))[0]],
+        G.generators, (0,), lambda g: sizes[key(g)],
+    )
     first = vm.point_pool_reps(first_key, [vm._index[h] for h in M_sub.generators])
-    els = vm.elements
+
+    def accept(s):
+        s_inv = inverse(s)
+        if all(compose(s, compose(g, s_inv)) in vm._index for g in G.generators):
+            return s
+        return None
+
+    sigma = [0] + [-1] * (G.degree - 1)
+    return _point_search(
+        seq, [key(g) for g in seq], pools, first, vm.elements.__getitem__, sigma, accept
+    )
+
+
+def _pool_sizes(pools) -> dict:
+    return {k: sum(map(len, b.values())) for k, b in pools.items()}
+
+
+def _first_key(sizes):
+    """The key of the first element mapped: the longest cycle through 0
+    (the key's second part), then the fewest elements."""
+    return max(sizes, key=lambda k: (k[1], -sizes[k]))
+
+
+def _covering_sequence(first, gens, start, weight) -> list:
+    """``first``, then generators from ``gens`` while the orbit of the
+    points ``start`` is not every point: each time the one whose orbit is
+    largest, of least ``weight`` among those."""
+    npts = len(first)
+    seq = [first]
+    while len(orbit_of(seq, start)) < npts:
+        seq.append(max(gens, key=lambda g: (len(orbit_of(seq + [g], start)), -weight(g))))
+    return seq
+
+
+def _point_search(seq, keys, pools, first, image, sigma, accept):
+    """The backtrack behind ``point_map`` and ``TwoBlockMaps``: a bijection
+    s of the points that extends ``sigma`` (the partial map, -1 where
+    open; its images are fixed) and conjugates each g of ``seq`` to a chosen
+    f(g), through s(g x) = f(g) s(x); ``seq`` moves the points sigma fixes
+    onto every point.
+
+    f(seq[0]) runs over ``first``; f(g) for a later g over ``pools[key]``
+    (key -> image of point 0 -> entries) for g's key in ``keys``, and only
+    over the entries that send s(0) to s(g 0) once that is known.  Entries
+    become permutations by ``image``.  After each choice s is extended by
+    breadth-first search from the fixed points, and the choice is dropped
+    once s is not well defined or not injective.  A total s is passed to
+    ``accept``, whose result is returned unless it is None."""
+    npts = len(sigma)
+    hit = bytearray(npts)
+    orbit = [x for x, v in enumerate(sigma) if v >= 0]
+    for x in orbit:
+        hit[sigma[x]] = 1
 
     def search(pairs, sigma, hit, orbit):
         t = len(pairs)
-        if len(orbit) == n:
-            s = make_perm(sigma)
-            s_inv = inverse(s)
-            if all(compose(s, compose(g, s_inv)) in vm._index for g in G.generators):
-                return s
-            return None
+        if len(orbit) == npts:
+            return accept(make_perm(sigma))
         g = seq[t]
-        pool = pools[key(g)]
         if t == 0:
             cands = first
-        elif sigma[g[0]] >= 0:
-            # f(g) sends s(0) = 0 to s(g 0)
-            cands = pool.get(sigma[g[0]], ())
         else:
-            cands = [c for v, group in pool.items() if not hit[v] for c in group]
+            pool = pools[keys[t]]
+            if sigma[g[0]] >= 0:
+                # f(g) sends s(0) to s(g 0)
+                cands = pool.get(sigma[g[0]], ())
+            else:
+                cands = [c for v, group in pool.items() if not hit[v] for c in group]
         for c in cands:
-            chosen = pairs + [(g, els[c])]
+            chosen = pairs + [(g, image(c))]
             state = _extend_point_map(chosen, sigma, hit, orbit)
             if state is not None:
                 s = search(chosen, *state)
@@ -131,9 +181,7 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
                     return s
         return None
 
-    hit = bytearray(n)
-    hit[0] = 1
-    return search([], [0] + [-1] * (n - 1), hit, [0])
+    return search([], sigma, hit, orbit)
 
 
 def _extend_point_map(pairs, sigma, hit, orbit):
@@ -156,6 +204,128 @@ def _extend_point_map(pairs, sigma, hit, orbit):
             elif s != v:
                 return None
     return sigma, hit, orbit
+
+
+class TwoBlockMaps:
+    """Automorphisms of a transitive group G that keep the class of
+    S = Stab_G(0), as point maps of G acting on its points and on the
+    cosets of a subgroup side by side.
+
+    ``actions[i]`` is the action rho_i of G on the cosets of a subgroup
+    H_i, all of one index n; G acts on [d] + G/H_i (the cosets as the points
+    d.., the coset H_i as d) by g + rho_i(g).  ``exists(i, j)`` says whether
+    some automorphism a of G with a(S) ~ S has a(H_i) ~ H_j.  That holds
+    exactly when a point bijection s of [d] + G/H_i onto [d] + G/H_j with
+    s(0) = 0 conjugates each g + rho_i(g) to a(g) + rho_j(a(g)): a, changed
+    by an inner automorphism to fix S, is conjugation by a bijection of [d]
+    fixing 0, and g H_i -> a(g) x H_j (for a(H_i) = x H_j x^-1) is the
+    second block; conversely the first block of s gives a with a(S) = S,
+    and a(H_i) is the stabilizer of s(d), a conjugate of H_j.
+
+    s is sought by ``_point_search``, seeded with s(0) = 0 and s(d) = c for
+    each point c of the second block.  Candidate images are keyed by
+    (cycle type on [d], cycle length through 0, cycle type on G/H), whose
+    last part is taken once per conjugacy class of G; the first image is
+    chosen only up to conjugation by S, as h s works for h in S when s
+    does.  Answers are cached, and the test is symmetric.
+    """
+
+    def __init__(self, G: PermGroup, actions):
+        self.view = view_of(G)
+        self.degree = G.degree
+        self.actions = actions
+        self.gens = [self.view._index[g] for g in G.generators]
+        self.stab_gens = [self.view._index[h] for h in G.point_stabilizer(0).generators]
+        self._pools = {}
+        self._perms = [{} for _ in actions]
+        self._answers = {}
+
+    def exists(self, i: int, j: int) -> bool:
+        if i == j:
+            return True
+        pair = (min(i, j), max(i, j))
+        found = self._answers.get(pair)
+        if found is None:
+            found = self._answers[pair] = self._search(*pair) is not None
+        return found
+
+    def _joined(self, i, x):
+        """g + rho_i(g) for the element g of index x."""
+        perm = self._perms[i].get(x)
+        if perm is None:
+            g = self.view.elements[x]
+            d = self.degree
+            images = list(g)
+            images.extend(d + v for v in self.actions[i].image_of_element(g))
+            perm = self._perms[i][x] = make_perm(images)
+        return perm
+
+    def _pools_of(self, i):
+        """Key -> image of point 0 -> elements, the key sizes and the cycle
+        type on G/H_i per conjugacy class of G."""
+        got = self._pools.get(i)
+        if got is None:
+            view = self.view
+            els = view.elements
+            image = self.actions[i].image_of_element
+            types = [cycle_type(image(els[c[0]])) for c in view.conj_classes()]
+            class_of = view._class_of
+            pools = {}
+            for (t, length), pool in view.point_pools().items():
+                for v, group in pool.items():
+                    for x in group:
+                        key = (t, length, types[class_of[x]])
+                        pools.setdefault(key, {}).setdefault(v, []).append(x)
+            got = self._pools[i] = (pools, _pool_sizes(pools), types)
+        return got
+
+    def _search(self, i, j):
+        """A point map s for the pair (i, j), or None."""
+        pools, sizes, types_i = self._pools_of(i)
+        target, target_sizes, types_j = self._pools_of(j)
+        if sizes != target_sizes:
+            return None
+        view, d = self.view, self.degree
+        els, class_of, ctypes = view.elements, view._class_of, view.cycle_types()
+        first_key = _first_key(sizes)
+        source = [next(iter(pools[first_key].values()))[0]] + self.gens
+        key_of = {
+            self._joined(i, x): (ctypes[x], cycle_length_at(els[x], 0), types_i[class_of[x]])
+            for x in source
+        }
+        seq = _covering_sequence(
+            self._joined(i, source[0]),
+            [self._joined(i, x) for x in self.gens],
+            (0, d),
+            lambda g: sizes[key_of[g]],
+        )
+        t, length, u = first_key
+        first = [
+            x for x in view.point_pool_reps((t, length), self.stab_gens)
+            if types_j[class_of[x]] == u
+        ]
+
+        def image(x):
+            return self._joined(j, x)
+
+        def accept(s):
+            s_inv = inverse(s)
+            for x in self.gens:
+                m = compose(s, compose(self._joined(i, x), s_inv))
+                y = view._index.get(make_perm(m[:d]))
+                if y is None or self._joined(j, y) != m:
+                    return None
+            return s
+
+        keys = [key_of[g] for g in seq]
+        npts = len(seq[0])
+        for c in range(d, npts):
+            sigma = [-1] * npts
+            sigma[0], sigma[d] = 0, c
+            s = _point_search(seq, keys, target, first, image, sigma, accept)
+            if s is not None:
+                return s
+        return None
 
 
 def _witness_from(va, vb, gens, images) -> PairWitness:

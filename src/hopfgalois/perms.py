@@ -104,11 +104,11 @@ def cycle_length_at(p, x: int) -> int:
     return k
 
 
-def orbit_of_0(perms) -> list:
-    """The orbit of point 0 under the group generated by ``perms``, in the
-    order of discovery."""
-    orbit = [0]
-    seen = {0}
+def orbit_of(perms, points=(0,)) -> list:
+    """The union of the orbits of ``points`` under the group generated by
+    ``perms``, in the order of discovery."""
+    orbit = list(points)
+    seen = set(orbit)
     for x in orbit:
         for p in perms:
             if p[x] not in seen:

@@ -290,10 +290,11 @@ def predicted_counts(tag: str, params: PqParameters, info: dict) -> PredictedCou
     These forms agree with classify_index_n on every catalogue entry at
     (7,3) and (13,3) (verify_pq, run by the test suite) and on every
     family member at (11,5).  c >= 2 needs e0 >= 2, first at
-    (p, q) = (19, 3); there the cyclic-side members and P x| <T, A, B> at
-    c = 2, d = 1 (order 9747) agree as well; the d = 2 member (order
-    19494) exceeds the isomorphism-search bound.  No test reaches c >= 2,
-    and the P x| <T A^(u q^(e0-c)), B^(s/d)> rule there is not derived.
+    (p, q) = (19, 3); there the cyclic-side members and all 14 members on
+    the metacyclic side agree as well, among them P x| <T, A, B> at c = 2
+    (orders 9747 and 19494) and the four P x| <T A^(u q^(e0-c)), B^(s/d)>
+    members at c = 2, each (8, 3, 1).  No test reaches c >= 2, and the
+    P x| <T A^(u q^(e0-c)), B^(s/d)> rule there is not derived.
     """
     p, q, e0, s = params.p, params.q, params.e0, params.s
     base = q ** (e0 - 1) * s

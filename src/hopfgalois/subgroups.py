@@ -24,7 +24,7 @@ from ._numtheory import factorize
 from .engine import GroupView, view_of
 from .errors import PreconditionError, ResourceLimitError
 from .permgroup import PermGroup
-from .perms import orbit_of_0
+from .perms import compose, inverse, orbit_of
 
 DEFAULT_MAX_ORDER = 100_000
 
@@ -309,7 +309,7 @@ def transitive_subgroup_classes(hol, *, max_order: int = DEFAULT_MAX_ORDER) -> l
     lat = _Lattice(hol.group, None, max_order)
     lat.run()
     return lat.result(
-        lambda order, gens: order % degree == 0 and len(orbit_of_0(gens)) == degree
+        lambda order, gens: order % degree == 0 and len(orbit_of(gens)) == degree
     )
 
 
@@ -349,6 +349,43 @@ def _partition(k: int, joined) -> list[int]:
     return [labels.setdefault(find(i), len(labels)) for i in range(k)]
 
 
+def _class_moves(G: PermGroup, n: int, classes, actions, max_order) -> list[tuple]:
+    """For each core-free class K of index d = G.degree other than the class
+    of S = Stab_G(0) with a point map s_K onto G's action rho_K on the
+    cosets of K: the permutation pi_K of the index-n ``classes`` (whose
+    coset ``actions`` are given) sending j to the class of
+    s_K^-1 rho_K(H_j) s_K.  The distinct permutations, the identity first."""
+    from .isomorphism import point_map
+    from .permgroup import coset_action
+
+    d = G.degree
+    s_key = class_key_of(G, G.point_stabilizer(0))
+    if d == n:
+        others = zip(classes, actions)
+    else:
+        others = (
+            (K, coset_action(G, K.representative))
+            for K in index_n_subgroup_classes(G, d, max_order=max_order)
+        )
+    index_of = {c.key: i for i, c in enumerate(classes)}
+    moves = [tuple(range(len(classes)))]
+    for K, action in others:
+        if K.key == s_key or action.kernel.order() != 1:
+            continue
+        rho = action.image_of_element
+        s = point_map(G, action.image, PermGroup(d, [rho(h) for h in K.representative.generators]))
+        if s is None:
+            continue
+        s_inv = inverse(s)
+        pi = []
+        for c in classes:
+            gens = [compose(s_inv, compose(rho(h), s)) for h in c.representative.generators]
+            pi.append(index_of[class_key_of(G, PermGroup(d, gens))])
+        if tuple(pi) not in moves:
+            moves.append(tuple(pi))
+    return moves
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Index-n subgroups sorted three ways: conjugacy, ambient-automorphism
@@ -366,44 +403,73 @@ class ClassificationReport:
 def classify_index_n(G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> ClassificationReport:
     """Classify the index-n subgroups of G.
 
-    Automorphism orbits are decided pairwise: H1 and H2 lie in one Aut(G)
-    orbit exactly when some isomorphism G -> G carries H1 to H2, which is a
-    pair-isomorphism test of (G, H1) against (G, H2).
+    Automorphism orbits are found with point maps.  Let G be transitive of
+    degree d (an intransitive G is replaced by its regular action, the
+    action on the cosets of the trivial subgroup), S = Stab_G(0), and
+    rho_i the action of G on the cosets of H_i.
+
+    1. Some automorphism a with a(S) ~ S and a(H_i) ~ H_j exists iff a
+       point bijection s of [d] + G/H_i onto [d] + G/H_j with s(0) = 0
+       conjugates g + rho_i(g) to a(g) + rho_j(a(g))
+       (``isomorphism.TwoBlockMaps``).
+    2. For each other core-free class K of index d, a point map s_K with
+       s_K G s_K^-1 = rho_K(G) (``isomorphism.point_map``) gives the
+       automorphism b_K = rho_K^-1 o (conjugation by s_K), with
+       b_K(S) = K; pi_K(j) is the class of b_K^-1(H_j) =
+       s_K^-1 rho_K(H_j) s_K.  Every automorphism is some b_K (or the
+       identity) after one of fact 1, so H_i and H_j lie in one orbit iff
+       fact 1 holds for (i, pi(j)) for some pi in {identity} + {pi_K}.
+
+    Pairs are tried only when their invariants agree: subgroup order and
+    order histogram, conjugacy class size, core order.
     """
-    from .isomorphism import find_isomorphism, pair_isomorphic
-    from .permgroup import normal_core
+    from .isomorphism import TwoBlockMaps, find_isomorphism
+    from .permgroup import coset_action
 
     classes = index_n_subgroup_classes(G, n, max_order=max_order)
     k = len(classes)
     reps = [c.representative for c in classes]
+    if G.is_transitive():
+        A, a_reps = G, reps
+    else:
+        regular = coset_action(G, PermGroup(G.degree))
+        A = regular.image
+        a_reps = [
+            PermGroup(A.degree, [regular.image_of_element(h) for h in H.generators])
+            for H in reps
+        ]
+    actions = [coset_action(A, H) for H in a_reps]
 
     # invariants preserved by any ambient automorphism: subgroup order and
     # order histogram, conjugacy class size, core order
     view = view_of(G)
     profiles = []
-    for c in classes:
+    for c, action in zip(classes, actions):
         idxs = frozenset(view._index[h] for h in c.representative.elements())
         profiles.append(
-            (
-                c.order,
-                c.class_size,
-                view.subgroup_order_histogram(idxs),
-                normal_core(G, c.representative).order(),
-            )
+            (c.order, c.class_size, view.subgroup_order_histogram(idxs), action.kernel.order())
         )
 
     # orbit partition under Aut(G); isomorphism classes refine across orbits
-    orbit_of = _partition(
-        k,
-        lambda i, j: profiles[i] == profiles[j]
-        and pair_isomorphic(G, reps[i], G, reps[j]),
-    )
+    maps = TwoBlockMaps(A, actions)
+    moves = None
+
+    def joined(i, j):
+        nonlocal moves
+        if profiles[i] != profiles[j]:
+            return False
+        if moves is None:
+            # in the regular action S is trivial: every automorphism keeps it
+            moves = _class_moves(G, n, classes, actions, max_order) if A is G else [tuple(range(k))]
+        return any(maps.exists(i, pi[j]) for pi in moves)
+
+    orbit_label = _partition(k, joined)
     iso_of = _partition(
         k,
-        lambda i, j: orbit_of[i] == orbit_of[j]
+        lambda i, j: orbit_label[i] == orbit_label[j]
         or (classes[i].order == classes[j].order and find_isomorphism(reps[i], reps[j])),
     )
-    aut_orbits = max(orbit_of, default=-1) + 1
+    aut_orbits = max(orbit_label, default=-1) + 1
     iso_classes = max(iso_of, default=-1) + 1
 
     details = tuple(
@@ -411,7 +477,7 @@ def classify_index_n(G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER
             "class_index": i,
             "order": classes[i].order,
             "class_size": classes[i].class_size,
-            "aut_orbit": orbit_of[i],
+            "aut_orbit": orbit_label[i],
             "iso_class": iso_of[i],
         }
         for i in range(k)

@@ -534,3 +534,69 @@ def compose_coset_action(G, H):
         h for h in h_elements if all(coset_of[compose(h, r)] == i for i, r in enumerate(reps))
     ]
     return reps, coset_of, image_gens, kernel_els
+
+
+# -- the orbit test before point maps of the two-block action -----------------
+#
+# Like same_order_scan, this runs the package's engine: it is the body of
+# classify_index_n when Aut(G)-orbits were decided by a pair-isomorphism test
+# of (G, H_i) against (G, H_j) for every pair with equal invariants, kept as
+# its reference.
+
+
+def classify_index_n_pairwise(G, n):
+    """classify_index_n with pairwise orbit tests: its ClassificationReport."""
+    from hopfgalois.engine import view_of
+    from hopfgalois.isomorphism import find_isomorphism, pair_isomorphic
+    from hopfgalois.permgroup import normal_core
+    from hopfgalois.subgroups import ClassificationReport, _partition, index_n_subgroup_classes
+
+    classes = index_n_subgroup_classes(G, n)
+    k = len(classes)
+    reps = [c.representative for c in classes]
+
+    # invariants preserved by any ambient automorphism: subgroup order and
+    # order histogram, conjugacy class size, core order
+    view = view_of(G)
+    profiles = []
+    for c in classes:
+        idxs = frozenset(view._index[h] for h in c.representative.elements())
+        profiles.append(
+            (
+                c.order,
+                c.class_size,
+                view.subgroup_order_histogram(idxs),
+                normal_core(G, c.representative).order(),
+            )
+        )
+
+    # orbit partition under Aut(G); isomorphism classes refine across orbits
+    orbit_of = _partition(
+        k,
+        lambda i, j: profiles[i] == profiles[j]
+        and pair_isomorphic(G, reps[i], G, reps[j]),
+    )
+    iso_of = _partition(
+        k,
+        lambda i, j: orbit_of[i] == orbit_of[j]
+        or (classes[i].order == classes[j].order and find_isomorphism(reps[i], reps[j])),
+    )
+    aut_orbits = max(orbit_of, default=-1) + 1
+    iso_classes = max(iso_of, default=-1) + 1
+
+    details = tuple(
+        {
+            "class_index": i,
+            "order": classes[i].order,
+            "class_size": classes[i].class_size,
+            "aut_orbit": orbit_of[i],
+            "iso_class": iso_of[i],
+        }
+        for i in range(k)
+    )
+    # refinement chain sanity: orbits refine iso classes
+    orbit_to_iso = {}
+    for d in details:
+        prev = orbit_to_iso.setdefault(d["aut_orbit"], d["iso_class"])
+        assert prev == d["iso_class"]
+    return ClassificationReport(k, aut_orbits, iso_classes, details)

@@ -354,12 +354,16 @@ def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, monkeypatch):
 
 
 def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
-    """Every pair test of G against itself that classify_index_n makes
-    under verify_pq(7, 3)."""
+    """Every pair test of G against itself that the pairwise oracle of
+    classify_index_n makes over the degree-21 catalogue (the package's
+    classify_index_n makes none)."""
     import hopfgalois.isomorphism as iso
-    from hopfgalois.pqtheory import verify_pq
+    from hopfgalois.pipeline import build_catalogue
+    from oracles import classify_index_n_pairwise
 
-    calls = _recorded_pair_tests(monkeypatch, iso, lambda: verify_pq(7, 3))
+    catalogue = build_catalogue(21)
+    calls = _recorded_pair_tests(
+        monkeypatch, iso, lambda: [classify_index_n_pairwise(e.group, 21) for e in catalogue])
     assert calls and all(G is M for G, _, M, _ in calls)
     for G, G_sub, M, M_sub in calls:
         va, vb, subs = _search_args(G, G_sub, M, M_sub)
@@ -393,3 +397,34 @@ def test_witness_search_and_replay_build_no_row_on_the_target(monkeypatch):
         assert all(row is None for row in vb._rows)
         assert _replay_verifies(va, vb, full, subs["sub_a"], subs["sub_b"])
         assert all(row is None for row in vb._rows)
+
+
+# -- two-block point maps against an enumeration of automorphisms --------------
+
+
+@pytest.mark.parametrize("degree,entry_id", [(9, 8), (12, 108)])
+def test_two_block_maps_equal_automorphisms_keeping_stab0(degree, entry_id):
+    """TwoBlockMaps.exists(i, j) holds exactly when some automorphism of G
+    that fixes S = Stab_G(0) carries H_i into the class of H_j.  In both
+    entries some such pair needs a map that moves the coset H_i."""
+    from hopfgalois.homsearch import automorphisms
+    from hopfgalois.isomorphism import TwoBlockMaps
+    from hopfgalois.permgroup import coset_action
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import _conjugacy_orbit, index_n_subgroup_classes
+
+    G = build_catalogue(degree)[entry_id].group
+    classes = index_n_subgroup_classes(G, degree)
+    maps = TwoBlockMaps(G, [coset_action(G, c.representative) for c in classes])
+    view = view_of(G)
+    conj = view.generator_conjugation_maps()
+    S = frozenset(view._index[h] for h in G.point_stabilizer(0).elements())
+    index_of = {c.key: i for i, c in enumerate(classes)}
+    reached = {
+        (i, index_of[_conjugacy_orbit(conj, frozenset(a[x] for x in H))[1]])
+        for a in automorphisms(view, sub=S)
+        for i, c in enumerate(classes)
+        for H in [frozenset(view._index[h] for h in c.representative.elements())]
+    }
+    k = len(classes)
+    assert {(i, j) for i in range(k) for j in range(k) if maps.exists(i, j)} == reached
