@@ -377,10 +377,13 @@ def pair_isomorphic(
     *,
     max_order: int = DEFAULT_ISO_BOUND,
 ) -> PairWitness | None:
-    """A verified isomorphism G -> M with image of G_sub equal to M_sub."""
+    """A verified isomorphism G -> M with image of G_sub equal to M_sub.
+
+    Two (transitive group, Stab(0)) pairs of one degree are first put to
+    ``point_map``; only a pair that still needs the witness search is held
+    to ``max_order``."""
     if G.order() != M.order() or G_sub.order() != M_sub.order():
         return None
-    va, vb = _bounded_views(G, M, max_order)
     by_cycle_type = (
         G.degree == M.degree
         and is_point_stabilizer_pair(G, G_sub)
@@ -388,6 +391,7 @@ def pair_isomorphic(
     )
     if by_cycle_type and point_map(G, M, M_sub) is None:
         return None
+    va, vb = _bounded_views(G, M, max_order)
     sub_a = _subgroup_indices(va, G_sub)
     sub_b = _subgroup_indices(vb, M_sub)
     if not by_cycle_type and (
@@ -409,5 +413,7 @@ def permutation_pair_of_quotient(G: PermGroup, H: PermGroup):
     J = G/Core_G(H) acting faithfully on [G:H] points, J' = Stab_J(0)."""
     action = coset_action(G, H)
     J = action.image
-    j_sub = PermGroup(J.degree, [action.image_of_element(h) for h in H.generators])
+    j_sub = PermGroup(
+        J.degree, [action.image_of_element(h) for h in H.generators], J.order() // J.degree
+    )
     return J, j_sub

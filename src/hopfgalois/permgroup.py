@@ -1,9 +1,14 @@
 """Permutation groups with deterministic stabilizer chains.
 
-Groups are immutable after construction: the chain is built eagerly, base
-points are chosen as the least moved point at each level, and orbits are
-swept in sorted order, so orders, membership tests and element enumeration
-are reproducible run to run.
+Groups are immutable after construction.  The stabilizer chain is built on
+first use, by the first query that needs it (order, membership, elements,
+point stabilizers, equality, hashing); a group read back from a file and
+never queried costs only its generator check.  A caller that has proved the
+order of a group containing the generators passes it as ``order``, and
+Schreier-Sims stops as soon as the chain reaches it (Seress, *Permutation
+Group Algorithms*, 2003, section 4.5).  Base points are chosen as the least
+moved point at each level, and orbits are swept in sorted order, so orders,
+membership tests and element enumeration are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -43,9 +48,21 @@ def _first_moved(p):
     return None
 
 
-def _build_chain(degree, gens, first_base=None):
+class _Complete(Exception):
+    """Raised inside ``_build_chain`` once the chain reaches the known order."""
+
+
+def _build_chain(degree, gens, first_base=None, order=None):
     """Deterministic Schreier-Sims; returns the list of levels.  With
-    ``first_base`` given, the chain's first base point is forced to it."""
+    ``first_base`` given, the chain's first base point is forced to it.
+
+    ``order`` is the order of a group known to contain ``<gens>``.  For any
+    partial chain the product of the basic orbit lengths is at most
+    ``|<gens>|``, with equality only when the chain is complete, so the run
+    stops as soon as the product reaches ``order``.  The rest of a full run
+    would add no generator to any level, so base points and level
+    generators are those of the full run; an ``order`` that is too large
+    only means the full run."""
     levels = [] if first_base is None else [_Level(first_base, degree)]
 
     def cumulative(i):
@@ -86,6 +103,8 @@ def _build_chain(degree, gens, first_base=None):
                 new.sort()
                 frontier = new
             lvl.transversal = trans
+            if order is not None and _chain_order(levels) == order:
+                raise _Complete
             added = False
             for pt in sorted(trans):
                 rep = trans[pt]
@@ -105,25 +124,39 @@ def _build_chain(degree, gens, first_base=None):
             if not added:
                 return
 
-    for g in gens:
-        residue, i = sift(g, 0)
-        if is_identity(residue):
-            continue
-        if i == len(levels):
-            levels.append(_Level(_first_moved(residue), degree))
-        levels[i].gens.append(residue)
-        complete(i)
-        for j in range(i - 1, -1, -1):
-            complete(j)
+    try:
+        for g in gens:
+            residue, i = sift(g, 0)
+            if is_identity(residue):
+                continue
+            if i == len(levels):
+                levels.append(_Level(_first_moved(residue), degree))
+            levels[i].gens.append(residue)
+            complete(i)
+            for j in range(i - 1, -1, -1):
+                complete(j)
+    except _Complete:
+        pass
     return levels
 
 
+def _chain_order(levels):
+    order = 1
+    for lvl in levels:
+        order *= len(lvl.transversal)
+    return order
+
+
 class PermGroup:
-    """An immutable permutation group on ``degree`` points."""
+    """An immutable permutation group on ``degree`` points.
 
-    __slots__ = ("degree", "generators", "_levels", "_order", "_elements", "_view")
+    ``order``, when given, must be the proved order of a group containing
+    the generators; it only lets the chain build stop early, and ``order()``
+    still reports what the chain finds."""
 
-    def __init__(self, degree, generators=()):
+    __slots__ = ("degree", "generators", "_bound", "_chain", "_order", "_elements", "_view")
+
+    def __init__(self, degree, generators=(), order=None):
         if degree < 1:
             raise PreconditionError("degree must be at least 1")
         norm = set()
@@ -139,21 +172,27 @@ class PermGroup:
                 norm.add(p)
         self.degree = degree
         self.generators = tuple(sorted(norm))
-        self._levels = _build_chain(degree, self.generators)
-        order = 1
-        for lvl in self._levels:
-            order *= len(lvl.transversal)
-        self._order = order
+        self._bound = order
+        self._chain = None
+        self._order = None
         self._elements = None
         self._view = None  # engine.view_of
+
+    @property
+    def _levels(self):
+        if self._chain is None:
+            self._chain = _build_chain(self.degree, self.generators, order=self._bound)
+        return self._chain
 
     # -- basic queries -------------------------------------------------
 
     def order(self) -> int:
+        if self._order is None:
+            self._order = _chain_order(self._levels)
         return self._order
 
     def is_trivial(self) -> bool:
-        return self._order == 1
+        return not self.generators
 
     def __contains__(self, p) -> bool:
         if len(p) != self.degree:
@@ -175,16 +214,16 @@ class PermGroup:
             return NotImplemented
         return (
             self.degree == other.degree
-            and self._order == other._order
+            and self.order() == other.order()
             and all(g in other for g in self.generators)
         )
 
     def __hash__(self):
-        return hash((self.degree, self._order))
+        return hash((self.degree, self.order()))
 
     def __repr__(self):
         gens = ", ".join(format_cycles(g) for g in self.generators) or "()"
-        return f"PermGroup(degree={self.degree}, order={self._order}, <{gens}>)"
+        return f"PermGroup(degree={self.degree}, order={self.order()}, <{gens}>)"
 
     # -- orbits and stabilizers ----------------------------------------
 
@@ -226,12 +265,14 @@ class PermGroup:
         moved = any(g[p] != p for g in self.generators)
         if not moved:
             return self
-        levels = _build_chain_prefixed(self.degree, self.generators, p)
+        order = self.order()
+        levels = _build_chain_prefixed(self.degree, self.generators, p, order)
         gens = []
         for lvl in levels[1:]:
             gens.extend(lvl.gens)
-        stab = PermGroup(self.degree, gens)
-        assert stab.order() * len(levels[0].transversal) == self._order
+        orbit = len(levels[0].transversal)
+        stab = PermGroup(self.degree, gens, order // orbit)
+        assert stab.order() * orbit == order
         return stab
 
     def elements(self) -> tuple:
@@ -243,7 +284,7 @@ class PermGroup:
                 els = [compose(rep, e) for rep in reps for e in els]
             els.sort()
             self._elements = tuple(els)
-            assert len(self._elements) == self._order
+            assert len(self._elements) == self.order()
         return self._elements
 
     def conjugate(self, w) -> "PermGroup":
@@ -277,10 +318,10 @@ class PermGroup:
         return cls(degree, gens)
 
 
-def _build_chain_prefixed(degree, gens, first_base):
+def _build_chain_prefixed(degree, gens, first_base, order=None):
     # Kept as its own name for point stabilizers so that callers tracing
     # chain builds by name (bench/spans.py) still find it.
-    return _build_chain(degree, gens, first_base)
+    return _build_chain(degree, gens, first_base, order)
 
 
 # -- module-level operations ---------------------------------------------
@@ -312,7 +353,7 @@ def group_from_elements(degree, elements) -> PermGroup:
         return PermGroup(degree)
     view = GroupView.from_perm_elements(elements, id_perm)
     gens = view.greedy_generators(range(view.size))
-    return PermGroup(degree, [view.elements[i] for i in gens])
+    return PermGroup(degree, [view.elements[i] for i in gens], len(elements))
 
 
 def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -360,14 +401,14 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetActionResult:
     if index * H.order() != G.order():
         raise PreconditionError("coset enumeration mismatch; H is not a subgroup of G")
     cosets = coset_of.__getitem__
-    image_gens = [make_perm(map(cosets, left_multiples(g, reps))) for g in G.generators]
-    image = PermGroup(max(index, 1), image_gens)
     kernel_els = [
         h
         for h in h_elements
         if all(cosets(y) == i for i, y in enumerate(left_multiples(h, reps)))
     ]
     kernel = group_from_elements(degree, kernel_els)
+    image_gens = [make_perm(map(cosets, left_multiples(g, reps))) for g in G.generators]
+    image = PermGroup(max(index, 1), image_gens, G.order() // len(kernel_els))
     return CosetActionResult(image, kernel, 0, coset_of, reps)
 
 

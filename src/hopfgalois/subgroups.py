@@ -261,7 +261,7 @@ class _Lattice:
             gens = [view.elements[i] for i in rec.get("gens") or view.greedy_generators(rec["rep"])]
             if keep is not None and not keep(rec["order"], gens):
                 continue
-            rep = PermGroup(self.G.degree, gens)
+            rep = PermGroup(self.G.degree, gens, rec["order"])
             assert rep.order() == rec["order"]
             out.append(
                 SubgroupClass(

@@ -600,3 +600,21 @@ def classify_index_n_pairwise(G, n):
         prev = orbit_to_iso.setdefault(d["aut_orbit"], d["iso_class"])
         assert prev == d["iso_class"]
     return ClassificationReport(k, aut_orbits, iso_classes, details)
+
+
+# -- point stabilizers from the full Schreier-Sims run ------------------------
+#
+# Like compose_coset_action, this runs the package's kernel: the unbounded
+# prefixed chain that PermGroup.point_stabilizer read before its chain build
+# stopped at the proved order, kept as its reference.
+
+
+def point_stabilizer_generators(G, p):
+    """The generators of levels 1 and up of G's full chain with base
+    starting at p, normalized as PermGroup normalizes them."""
+    from hopfgalois.permgroup import _build_chain_prefixed
+
+    gens = set()
+    for lvl in _build_chain_prefixed(G.degree, G.generators, p)[1:]:
+        gens.update(lvl.gens)
+    return tuple(sorted(gens))

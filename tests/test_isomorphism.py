@@ -9,6 +9,7 @@ from hopfgalois.isomorphism import (
     point_map,
 )
 from hopfgalois.engine import view_of
+from hopfgalois.errors import ResourceLimitError
 from hopfgalois.permgroup import PermGroup
 from hopfgalois.perms import compose, inverse, make_perm, parse_perm
 
@@ -282,6 +283,20 @@ def test_point_map_degree_55_entry_51():
     s_inv = inverse(sigma)
     assert all(compose(sigma, compose(g, s_inv)) in entry.group for g in J.generators)
     assert pair_isomorphic(J, J_sub, entry.group, entry.stabilizer) is not None
+
+
+def test_point_map_no_is_decided_below_the_view_bound():
+    """Two same-order degree-8 (transitive group, Stab(0)) pairs that no
+    point bijection conjugates: the answer is no even when their order
+    exceeds the bound on the groups the witness search may enumerate."""
+    G, G_sub = _pair(8, ["(4 5)(6 7)", "(0 4 1 5)(2 6 3 7)", "(0 6 1 7)(2 4 3 5)"], ["(4 5)(6 7)"])
+    M, M_sub = _pair(8, ["(0 4 2 6)(1 5 3 7)", "(0 4 3 7)(1 5 2 6)"], ["(4 5)(6 7)"])
+    assert is_point_stabilizer_pair(G, G_sub) and is_point_stabilizer_pair(M, M_sub)
+    assert G.order() == M.order() == 16
+    assert point_map(G, M, M_sub) is None
+    assert pair_isomorphic(G, G_sub, M, M_sub, max_order=8) is None
+    with pytest.raises(ResourceLimitError):
+        pair_isomorphic(G, G_sub, G, G_sub, max_order=8)
 
 
 # -- the witness search against its Cayley-row oracle ------------------------

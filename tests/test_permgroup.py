@@ -4,6 +4,8 @@ from hopfgalois.engine import GroupView
 from hopfgalois.errors import PreconditionError
 from hopfgalois.permgroup import (
     PermGroup,
+    _build_chain,
+    _chain_order,
     are_conjugate_subgroups,
     coset_action,
     group_from_elements,
@@ -14,7 +16,15 @@ from hopfgalois.permgroup import (
 )
 from hopfgalois.perms import compose, identity, inverse, is_identity, make_perm, parse_perm
 
-from oracles import brute_core, brute_normalizer, brute_order, brute_orbit, brute_stabilizer, mulclose
+from oracles import (
+    brute_core,
+    brute_normalizer,
+    brute_order,
+    brute_orbit,
+    brute_stabilizer,
+    mulclose,
+    point_stabilizer_generators,
+)
 
 
 def S3():
@@ -262,3 +272,54 @@ def test_group_from_elements_reproduces_element_sets():
         without_identity += bool(rest)
         assert set(group_from_elements(degree, rest).elements()) == want
     assert len(cases) > 800 and without_identity > 450
+
+
+# -- chains stopped at a proved order against the full run ------------------
+
+
+def _chain_corpus(n):
+    """Every degree-n catalogue entry, its Stab(0), and the quotient pairs
+    (J, J') that analyze_parallel builds from its index-n classes."""
+    from hopfgalois.isomorphism import permutation_pair_of_quotient
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import class_key_of, index_n_subgroup_classes
+
+    out = []
+    for entry in build_catalogue(n):
+        out += [entry.group, entry.stabilizer]
+        stab_key = class_key_of(entry.group, entry.stabilizer)
+        for cls in index_n_subgroup_classes(entry.group, n):
+            if cls.key != stab_key:
+                out += permutation_pair_of_quotient(entry.group, cls.representative)
+    return out
+
+
+def _shape(levels):
+    return [(lvl.base, lvl.gens) for lvl in levels]
+
+
+@pytest.mark.parametrize("n", [8, 12, 55])
+def test_chain_stopped_at_order_matches_full_run(n):
+    """Each group has the order of its full chain.  A chain stopped at the
+    true order, or run with twice it as bound, has the full run's base
+    points and level generators; the groups built with either bound have
+    the true order, its elements and its members; the stabilizers of its
+    least and greatest moved points have the full prefixed chain's
+    generators."""
+    for X in _chain_corpus(n):
+        d, gens = X.degree, X.generators
+        full = _build_chain(d, gens)
+        order = _chain_order(full)
+        assert X.order() == order
+        assert _shape(_build_chain(d, gens, order=order)) == _shape(full)
+        assert _shape(_build_chain(d, gens, order=2 * order)) == _shape(full)
+        unbounded = PermGroup(d, gens)
+        probes = [compose(g, make_perm([1, 0] + list(range(2, d)))) for g in gens]
+        for bound in (order, 2 * order):
+            bounded = PermGroup(d, gens, bound)
+            assert bounded.order() == order
+            assert bounded.elements() == unbounded.elements()
+            assert [x in bounded for x in probes] == [x in unbounded for x in probes]
+        moved = [p for p in range(d) if any(g[p] != p for g in gens)]
+        for p in {moved[0], moved[-1]} if moved else ():
+            assert X.point_stabilizer(p).generators == point_stabilizer_generators(X, p)

@@ -91,6 +91,29 @@ def test_reports_resume(tmp_path, monkeypatch):
     assert summary.no_hgs_entries == 0
 
 
+def test_resume_builds_no_stabilizer_chain(tmp_path, monkeypatch):
+    """Groups read back from the catalogue files and the report log are
+    never queried on a resumed run, so no Schreier-Sims runs at all."""
+    from hopfgalois import permgroup
+
+    summary = detect_no_hgs(8, cache_dir=tmp_path)
+    catalogue = build_catalogue(55, cache_dir=tmp_path)
+    calls = []
+    build_chain = permgroup._build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "_build_chain", counted)
+    assert detect_no_hgs(8, cache_dir=tmp_path, resume=True) == summary
+    again = build_catalogue(55, cache_dir=tmp_path, resume=True)
+    assert calls == []
+    assert [(e.degree, e.type_label, e.to_json()) for e in again] == [
+        (e.degree, e.type_label, e.to_json()) for e in catalogue
+    ]
+
+
 def test_rerun_writes_the_log_once(tmp_path):
     detect_no_hgs(6, cache_dir=tmp_path)
     once = cache.reports_path(tmp_path, 6).read_bytes()
