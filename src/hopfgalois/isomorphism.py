@@ -11,10 +11,11 @@ fixing 0 (the two actions are equivalent to the actions on the cosets of
 the stabilizers).  Such pairs are decided by searching for that bijection
 (``point_map``); the generator-image search runs only once it exists, to
 produce the witness, with each generator's candidate images sharing its
-cycle type.  The same backtrack decides which subgroups of one transitive
-group an automorphism keeping Stab(0)'s class carries into which classes,
-on the group's points and one subgroup's cosets side by side
-(``TwoBlockMaps``).
+cycle type.  Callers that need no witness ask ``is_pair_isomorphic``,
+which stops at the point map.  The same backtrack decides which subgroups
+of one transitive group an automorphism keeping Stab(0)'s class carries
+into which classes, on the group's points and one subgroup's cosets side
+by side (``TwoBlockMaps``).
 """
 
 from __future__ import annotations
@@ -384,11 +385,7 @@ def pair_isomorphic(
     to ``max_order``."""
     if G.order() != M.order() or G_sub.order() != M_sub.order():
         return None
-    by_cycle_type = (
-        G.degree == M.degree
-        and is_point_stabilizer_pair(G, G_sub)
-        and is_point_stabilizer_pair(M, M_sub)
-    )
+    by_cycle_type = _point_stabilizer_pairs(G, G_sub, M, M_sub)
     if by_cycle_type and point_map(G, M, M_sub) is None:
         return None
     va, vb = _bounded_views(G, M, max_order)
@@ -406,6 +403,35 @@ def pair_isomorphic(
             raise PreconditionError("pair isomorphism replay failed")
         return _witness_from(va, vb, gens, images)
     return None
+
+
+def _point_stabilizer_pairs(G, G_sub, M, M_sub) -> bool:
+    return (
+        G.degree == M.degree
+        and is_point_stabilizer_pair(G, G_sub)
+        and is_point_stabilizer_pair(M, M_sub)
+    )
+
+
+def is_pair_isomorphic(
+    G: PermGroup,
+    G_sub: PermGroup,
+    M: PermGroup,
+    M_sub: PermGroup,
+) -> bool:
+    """Whether ``pair_isomorphic`` finds a witness, for callers that read
+    only the verdict.
+
+    For two (transitive group, Stab(0)) pairs of one degree and order, a
+    point map s already certifies it: g -> s g s^-1 fixes 0, so carries
+    G_sub onto M_sub, and maps G into M, onto as |G| = |M|.  No view
+    bound, witness search or replay is needed then; every other pair shape
+    goes through ``pair_isomorphic``."""
+    if G.order() != M.order() or G_sub.order() != M_sub.order():
+        return False
+    if _point_stabilizer_pairs(G, G_sub, M, M_sub):
+        return point_map(G, M, M_sub) is not None
+    return pair_isomorphic(G, G_sub, M, M_sub) is not None
 
 
 def permutation_pair_of_quotient(G: PermGroup, H: PermGroup):

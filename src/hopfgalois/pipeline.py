@@ -25,6 +25,7 @@ from .groups import groups_of_order
 from .holomorph import holomorph
 from .isomorphism import (
     PairWitness,
+    is_pair_isomorphic,
     is_point_stabilizer_pair,
     pair_isomorphic,
     permutation_pair_of_quotient,
@@ -189,13 +190,44 @@ def _cycle_key(G: PermGroup) -> tuple:
     return view_of(G).cycle_type_multiset()
 
 
+def _match_quotient(J: PermGroup, J_sub: PermGroup, catalogue) -> tuple:
+    """(match, scanned) of the quotient pair (J, J_sub) against the catalogue.
+
+    The match is the first same-order entry with J's cycle-type key that is
+    pair-isomorphic to it; an entry with another key is scanned and ruled
+    out untested, and after a miss every same-order entry has been scanned.
+    """
+    key = _cycle_key(J)
+    scanned = []
+    for cand in _match_candidates(catalogue, J.order()):
+        scanned.append(cand.entry_id)
+        if _cycle_key(cand.group) != key:
+            continue
+        witness = pair_isomorphic(J, J_sub, cand.group, cand.stabilizer)
+        if witness is not None:
+            return MatchResult(cand.entry_id, witness), tuple(scanned)
+    return None, tuple(scanned)
+
+
 def analyze_parallel(
     entry: CatalogueEntry,
     catalogue: list[CatalogueEntry],
     *,
     max_order: int = DEFAULT_MAX_ORDER,
+    matches: dict | None = None,
 ) -> list[ParallelReport]:
-    """One report per conjugacy class of index-n subgroups of the entry."""
+    """One report per conjugacy class of index-n subgroups of the entry.
+
+    ``matches`` is a match table for this catalogue: the sorted element
+    tuple of each quotient J matched so far, mapped to its (match, scanned).
+    A quotient whose elements are in it is not matched again.  That is
+    exact: J' = Stab_J(0) is fixed by J's elements, and the match and its
+    witness (``homsearch`` on J's view, which sorts the elements) depend on
+    the element set alone, not on J's generators.  Without a table the call
+    keeps one of its own, so repeats within the entry are matched once.
+    """
+    if matches is None:
+        matches = {}
     n = entry.degree
     G = entry.group
     classes = index_n_subgroup_classes(G, n, max_order=max_order)
@@ -216,19 +248,10 @@ def analyze_parallel(
             continue
         # J acts transitively on the cosets of H, and J_sub fixes H's coset 0
         J, J_sub = permutation_pair_of_quotient(G, H)
-        key = _cycle_key(J)
-        match = None
-        scanned = []
-        for cand in _match_candidates(catalogue, J.order()):
-            # an entry with another key is scanned and ruled out untested;
-            # after a miss every same-order entry has been scanned
-            scanned.append(cand.entry_id)
-            if _cycle_key(cand.group) != key:
-                continue
-            witness = pair_isomorphic(J, J_sub, cand.group, cand.stabilizer)
-            if witness is not None:
-                match = MatchResult(cand.entry_id, witness)
-                break
+        found = matches.get(J.elements())
+        if found is None:
+            found = matches[J.elements()] = _match_quotient(J, J_sub, catalogue)
+        match, scanned = found
         reports.append(
             ParallelReport(
                 entry.entry_id,
@@ -237,7 +260,7 @@ def analyze_parallel(
                 n,
                 match,
                 match is None,
-                tuple(scanned),
+                scanned,
             )
         )
     return reports
@@ -256,7 +279,9 @@ def analyze_degree(
     With a cache directory each analysed entry gets one line in the report
     log; ``resume`` reads back the entries a valid log holds and analyses
     the rest.  ``progress(entry, reports)`` sees every report of each entry
-    analysed in this call.
+    analysed in this call.  The entries share one match table (see
+    ``analyze_parallel``), so a quotient group met again at this degree is
+    not matched again; the table lives for this call only.
     """
     catalogue = build_catalogue(n, cache_dir=cache_dir, resume=resume, max_order=max_order)
     cache_path = cachemod.resolve_cache_dir(cache_dir) if cache_dir or resume else None
@@ -264,10 +289,11 @@ def analyze_degree(
     if cache_path:
         for rec in cachemod.open_report_log(cache_path, n, resume):
             witnesses[rec["entry_id"]] = [ParallelReport.from_json(r, n) for r in rec["witnesses"]]
+    matches: dict = {}
     for entry in catalogue:
         if entry.entry_id in witnesses:
             continue
-        reports = analyze_parallel(entry, catalogue, max_order=max_order)
+        reports = analyze_parallel(entry, catalogue, max_order=max_order, matches=matches)
         witnesses[entry.entry_id] = [r for r in reports if r.no_hgs]
         if cache_path:
             cachemod.append_report_line(cache_path, n, {
@@ -342,7 +368,7 @@ def hgs_types_admitted(
             continue
         if _cycle_key(cand.group) != key:
             continue
-        if pair_isomorphic(G, G_sub, cand.group, cand.stabilizer) is not None:
+        if is_pair_isomorphic(G, G_sub, cand.group, cand.stabilizer):
             out.add(cand.type_label)
     return out
 
@@ -475,8 +501,8 @@ def extend_family(
         f"base scan covered all {len(base_candidates)} candidate entries",
         set(report.scanned) >= set(base_candidates),
     )
-    rescan = all(
-        pair_isomorphic(J, J_sub, e.group, e.stabilizer) is None
+    rescan = not any(
+        is_pair_isomorphic(J, J_sub, e.group, e.stabilizer)
         for e in catalogue
         if e.order == J.order()
     )

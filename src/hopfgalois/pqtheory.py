@@ -23,7 +23,7 @@ from ._numtheory import crt, divisors, is_prime, multiplicative_order, primitive
 from .errors import PreconditionError, VerificationError
 from .groups import groups_of_order
 from .holomorph import Holomorph, _s_power, automorphism_from_images, holomorph
-from .isomorphism import pair_isomorphic
+from .isomorphism import is_pair_isomorphic
 from .permgroup import PermGroup
 from .perms import compose, make_perm
 from .subgroups import all_subgroup_classes, class_key_of, classify_index_n
@@ -431,7 +431,7 @@ def verify_pq(p: int, q: int, *, max_order=None) -> PqVerification:
         for cand in catalogue:
             if cand.type_label != cyclic_label or cand.order != e.order:
                 continue
-            if pair_isomorphic(e.group, e.stabilizer, cand.group, cand.stabilizer):
+            if is_pair_isomorphic(e.group, e.stabilizer, cand.group, cand.stabilizer):
                 partner = cand
                 break
         check(
@@ -473,8 +473,9 @@ def verify_pq(p: int, q: int, *, max_order=None) -> PqVerification:
     # (c) no parallel no-HGS at degree pq; (d) the source types propagate to
     # every parallel pair, and same-closure (trivial core) pairs admit
     # exactly the source's types
+    matches = {}
     for e in catalogue:
-        reports = analyze_parallel(e, catalogue)
+        reports = analyze_parallel(e, catalogue, matches=matches)
         source_types = hgs_types_admitted(e.group, e.stabilizer, n, catalogue)
         for rep in reports:
             check(

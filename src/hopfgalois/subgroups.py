@@ -4,7 +4,8 @@ The lattice is grown bottom-up by cyclic extension: a class representative
 U is extended by elements g of its normalizer with g^p in U, so the new
 subgroup is the union of p cosets and needs no closure.  Solvable ambient
 groups are fully covered this way; otherwise the walk is also seeded with
-the perfect subgroups.  They all lie in the perfect residual G^(oo), so the
+the perfect subgroups, of the orders it is after only (none when those
+force solvability).  They all lie in the perfect residual G^(oo), so the
 search runs inside it (on a view of its own when it is proper): G^(oo)
 itself, and the perfect residuals of two-generated subgroups (every perfect
 group within the supported order range is 2-generated), of which only half
@@ -62,22 +63,26 @@ def _conjugacy_orbit(conj_maps, S: frozenset):
     return orbit, min(tuple(sorted(T)) for T in orbit)
 
 
-def _perfect_subgroups(view) -> list[frozenset]:
+def _perfect_subgroups(view, cap: int) -> list[frozenset]:
     """Perfect subgroups of the view's group, at least one in each class of
-    nontrivial proper ones: perfect residuals of two-generated subgroups,
-    then a round that extends each one found by single class
-    representatives.
+    nontrivial proper ones of order at most ``cap``:
+    perfect residuals of two-generated subgroups, then a round that extends
+    each one found by single class representatives.
 
     Only pairs (x, y) are closed where x represents a conjugacy class and y
     an orbit of the centralizer of x in a class that comes no earlier in
     the order by class size: any pair (a, b) becomes one of these by
     swapping a and b to put a's class first and then conjugating.
     A closure past half the group is the whole group (Lagrange) and is
-    dropped.  Subgroups whose order forces solvability are dismissed
-    without computing a derived series."""
+    dropped, and so is one past ``cap`` when that is below half: a wanted
+    perfect P is itself 2-generated, so some pair closes to a conjugate of
+    P within the cap.  Subgroups whose order forces solvability are
+    dismissed without computing a derived series."""
     classes = sorted(view.conj_classes(), key=len)
     orders = view.element_orders()
     half = view.size // 2
+    if cap >= half:
+        cap = None
     found: dict[frozenset, None] = {}
     residual_cache: dict[frozenset, frozenset] = {}
 
@@ -109,7 +114,7 @@ def _perfect_subgroups(view) -> list[frozenset]:
                     if w not in seen_y:
                         seen_y.add(w)
                         orbit.append(w)
-            S = view.closure([x, y], maxsize=half)
+            S = view.closure([x, y], maxsize=half if cap is None else cap)
             if S is not None:
                 R = residual(S)
                 if R is not None and len(R) > 1:
@@ -124,7 +129,8 @@ def _perfect_subgroups(view) -> list[frozenset]:
                 g = c[0]
                 if g in P or orders[g] == 1:
                     continue
-                fresh = residual(view.closure(list(pgens) + [g]))
+                S = view.closure(list(pgens) + [g], maxsize=cap)
+                fresh = None if S is None else residual(S)
                 if fresh is not None and len(fresh) > 1 and fresh not in found:
                     found.setdefault(fresh)
                     new.append(fresh)
@@ -181,23 +187,24 @@ class _Lattice:
     # -- seeds -------------------------------------------------------------
 
     def seed(self):
-        """The trivial subgroup and the perfect subgroups, which all lie in
-        R = G^(oo)."""
+        """The trivial subgroup and the perfect subgroups of order dividing
+        the target, which all lie in R = G^(oo).  When the target's order
+        forces solvability so does every divisor's, and none is wanted."""
         view = self.view
         self.register(frozenset({view.identity}))
-        if _order_forces_solvable(self.size):
+        if _order_forces_solvable(self.target):
             return
         R = view.perfect_residual(frozenset(range(self.size)))
         if len(R) == 1:
             return
         if len(R) == self.size:
-            perfect = _perfect_subgroups(view)
+            perfect = _perfect_subgroups(view, self.target)
         else:
             els = view.elements
             r_view = GroupView.from_perm_elements([els[i] for i in R], els[view.identity])
             perfect = [
                 frozenset(view._index[r_view.elements[i]] for i in P)
-                for P in _perfect_subgroups(r_view)
+                for P in _perfect_subgroups(r_view, self.target)
             ]
         for P in perfect + [R]:
             if self.target % len(P) == 0:

@@ -353,3 +353,85 @@ def test_hgs_types_admitted_uses_the_quotient():
     outside = PermGroup(4, [bytes([0, 2, 1, 3])])
     with pytest.raises(PreconditionError):
         hgs_types_admitted(d4.group, outside, 4, [e for e in cat if e.order != 8])
+
+
+def _report_fields(rep):
+    match = rep.match
+    return (
+        rep.h_class.key,
+        None if match is None else match.entry_id,
+        None if match is None else match.witness.mapping,
+        rep.scanned,
+        rep.core_order,
+        rep.no_hgs,
+    )
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_shared_match_table_changes_no_report(n):
+    """The reports analyze_degree hands to ``progress``, whose entries share
+    one match table, equal those of analyze_parallel per entry, and each
+    quotient's match equals one made from scratch for it alone."""
+    from hopfgalois.isomorphism import permutation_pair_of_quotient
+    from hopfgalois.pipeline import _match_quotient, analyze_degree
+    from hopfgalois.subgroups import class_key_of
+
+    seen = {}
+    catalogue, _ = analyze_degree(n, progress=lambda e, reps: seen.setdefault(e.entry_id, reps))
+    assert sorted(seen) == [e.entry_id for e in catalogue]
+    for entry in catalogue:
+        shared = seen[entry.entry_id]
+        alone = analyze_parallel(entry, catalogue)
+        assert [_report_fields(r) for r in shared] == [_report_fields(r) for r in alone]
+        stab_key = class_key_of(entry.group, entry.stabilizer)
+        for rep in shared:
+            if rep.h_class.key == stab_key:
+                continue
+            J, J_sub = permutation_pair_of_quotient(entry.group, rep.h_class.representative)
+            match, scanned = _match_quotient(J, J_sub, catalogue)
+            assert rep.scanned == scanned
+            assert rep.match == match
+
+
+def test_degree_run_pair_tests_each_quotient_once(monkeypatch):
+    """One detect_no_hgs(8) pair-tests no quotient group against one
+    catalogue entry twice, although 456 of its 635 quotients repeat."""
+    from collections import Counter
+
+    tests = Counter()
+    real = pipeline.pair_isomorphic
+
+    def counted(G, G_sub, M, M_sub, **kwargs):
+        tests[G.elements(), M.generators] += 1
+        return real(G, G_sub, M, M_sub, **kwargs)
+
+    monkeypatch.setattr(pipeline, "pair_isomorphic", counted)
+    assert detect_no_hgs(8).rows() == [(8, 148, 8)]
+    assert tests
+    assert sum(c - 1 for c in tests.values()) == 0
+
+
+def test_hgs_types_admitted_searches_no_witness(monkeypatch):
+    """On (transitive group, Stab(0)) inputs the point map alone decides
+    each candidate: no generator-image search runs, and the types are those
+    that pair_isomorphic's witnesses give."""
+    import hopfgalois.isomorphism as iso
+
+    catalogue = build_catalogue(8)
+    pairs = [(e.group, e.stabilizer) for e in catalogue[::7]]
+    pairs += [
+        iso.permutation_pair_of_quotient(e.group, c.representative)
+        for e in catalogue[::29]
+        for c in pipeline.index_n_subgroup_classes(e.group, 8)
+    ]
+    expected = [
+        {c.type_label for c in catalogue
+         if c.order == G.order() and iso.pair_isomorphic(G, G_sub, c.group, c.stabilizer)}
+        for G, G_sub in pairs
+    ]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("homsearch.isomorphisms was called")
+
+    monkeypatch.setattr(iso, "isomorphisms", no_search)
+    assert [hgs_types_admitted(G, G_sub, 8, catalogue) for G, G_sub in pairs] == expected

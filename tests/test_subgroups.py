@@ -277,3 +277,17 @@ def test_class_key_requires_containment():
     a4 = PermGroup(4, [parse_perm("(0 1 2)"), parse_perm("(0 1)(2 3)")])
     with pytest.raises(PreconditionError):
         class_key_of(a4, PermGroup(4, [parse_perm("(0 1)")]))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_index_n_classes_equal_filtered_full_lattice(n):
+    """index_n_subgroup_classes, which seeds perfect subgroups only up to
+    its target order (and none when that order forces solvability), gives
+    the classes of that order in the whole lattice of each catalogue entry."""
+    from hopfgalois.pipeline import build_catalogue
+
+    for entry in build_catalogue(n):
+        target = entry.order // n
+        full = [c for c in all_subgroup_classes(entry.group) if c.order == target]
+        assert _described(index_n_subgroup_classes(entry.group, n)) == _described(full), (
+            n, entry.entry_id)
