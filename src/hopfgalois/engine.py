@@ -2,17 +2,16 @@
 
 A :class:`GroupView` numbers the elements of a finite group 0..n-1 and
 exposes multiplication, inverses, element orders, conjugacy classes and
-subgroup closures on those indices.  Views come in two flavours: backed by
-a multiplication table (abstract groups) or by a sorted list of
-permutations (subgroups of a symmetric group).  Small permutation-backed
-views materialize Cayley rows lazily so hot loops run on plain ints.
-Conjugation and left and right multiplication of a list of elements on
-permutation-backed views compose the permutations themselves, so they
-build no Cayley row.  Those views also know each element's cycle type
-and p-th power, computed once per conjugacy class when the view has its
-group's generators (the power is carried along the class by the
-generators' conjugation maps), and derive the element orders from the
-cycle types.
+subgroup closures on those indices.  Every view is backed by a sorted
+list of permutations: a subgroup of a symmetric group, or an abstract
+group through its left-regular permutations (see ``AbstractGroup.view``).
+Small views materialize Cayley rows lazily so hot loops run on plain ints.
+Conjugation and left and right multiplication of a list of elements
+compose the permutations themselves, so they build no Cayley row.  Views
+also know each element's cycle type and p-th power, computed once per
+conjugacy class when the view has its group's generators (the power is
+carried along the class by the generators' conjugation maps), and derive
+the element orders from the cycle types.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class GroupView:
         "identity",
         "elements",
         "_index",
-        "_table",
         "_rows",
         "_pads",
         "_inv",
@@ -53,9 +51,8 @@ class GroupView:
     def __init__(self):
         self.size = 0
         self.identity = 0
-        self.elements = None  # permutation-backed views only
+        self.elements = None
         self._index = None
-        self._table = None
         self._rows = None
         self._pads = None
         self._inv = None
@@ -73,14 +70,6 @@ class GroupView:
         self._pool_reps = None
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_table(cls, table) -> "GroupView":
-        v = cls()
-        v.size = len(table)
-        v.identity = 0
-        v._table = table
-        return v
 
     @classmethod
     def from_perm_elements(cls, elements, identity_perm) -> "GroupView":
@@ -107,8 +96,6 @@ class GroupView:
     # -- multiplication ----------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
         if self._rows is not None:
             row = self._rows[i]
             if row is None:
@@ -138,38 +125,20 @@ class GroupView:
         v = invs[i]
         if v >= 0:
             return v
-        if self.elements is not None:
-            v = self._index[inverse(self.elements[i])]
-        else:
-            e = self.identity
-            row = self._table[i]
-            v = row.index(e)
-        invs[i] = v
+        v = invs[i] = self._index[inverse(self.elements[i])]
         return v
 
     def element_orders(self):
         if self._orders is None:
-            if self.elements is not None:
-                order_of = {t: math.lcm(*t) for t in set(self.cycle_types())}
-                self._orders = array("i", [order_of[t] for t in self._cycle_types])
-            else:
-                out = array("i", [0]) * self.size
-                for i in range(self.size):
-                    k = 1
-                    x = i
-                    while x != self.identity:
-                        x = self.mul(i, x)
-                        k += 1
-                    out[i] = k
-                self._orders = out
+            order_of = {t: math.lcm(*t) for t in set(self.cycle_types())}
+            self._orders = array("i", [order_of[t] for t in self.cycle_types()])
         return self._orders
 
     def cycle_types(self) -> list:
-        """Per element, its cycle type (permutation-backed views only); equal
-        types are one shared tuple.  Views that know their generators take
-        one type per conjugacy class, which conjugation in Sym(n) keeps;
-        the others need the types for their generators, so go element by
-        element."""
+        """Per element, its cycle type; equal types are one shared tuple.
+        Views that know their generators take one type per conjugacy class,
+        which conjugation in Sym(n) keeps; the others need the types for
+        their generators, so go element by element."""
         if self._cycle_types is None:
             interned = {}
             els = self.elements
@@ -186,20 +155,16 @@ class GroupView:
         return self._cycle_types
 
     def power_map(self, p: int):
-        """Array m with m[x] = x^p, built once per exponent; permutation-backed
-        views take the powers of the permutations, so no Cayley row is built.
-        Views that know their generators power one element per conjugacy
-        class and carry it along the class by the generators' conjugation
-        maps c, since c(y)^p = c(y^p); the others power every element."""
+        """Array m with m[x] = x^p, built once per exponent from the powers of
+        the permutations, so no Cayley row is built.  Views that know their
+        generators power one element per conjugacy class and carry it along
+        the class by the generators' conjugation maps c, since
+        c(y)^p = c(y^p); the others power every element."""
         if self._powers is None:
             self._powers = {}
         m = self._powers.get(p)
         if m is None:
-            if self.elements is None:
-                m = array("i", range(self.size))
-                for _ in range(p - 1):
-                    m = array("i", [self.mul(x, y) for x, y in enumerate(m)])
-            elif self._gens is None:
+            if self._gens is None:
                 idx = self._index
                 m = array("i", [idx[power(x, p)] for x in self.elements])
             else:
@@ -219,8 +184,7 @@ class GroupView:
 
     def point_pools(self) -> dict:
         """(cycle type, length of the cycle through point 0) -> image of
-        point 0 -> the elements with both, ascending (permutation-backed
-        views only)."""
+        point 0 -> the elements with both, ascending."""
         if self._point_pools is None:
             pools = self._point_pools = {}
             for i, (t, x) in enumerate(zip(self.cycle_types(), self.elements)):
@@ -290,14 +254,12 @@ class GroupView:
 
     def closure(self, seed, maxsize=None) -> frozenset | None:
         """Subgroup generated by ``seed``; None exactly when it has more than
-        ``maxsize`` elements.  Views with a table or Cayley rows step through
-        each generator's row, fetched once."""
+        ``maxsize`` elements.  Views with Cayley rows step through each
+        generator's row, fetched once."""
         els = {self.identity}
         gens = [g for g in seed if g != self.identity]
         els.update(gens)
-        if self._table is not None:
-            rows = [self._table[g] for g in gens]
-        elif self._rows is not None:
+        if self._rows is not None:
             rows = [self._rows[g] or self._build_row(g) for g in gens]
         else:
             mul = self._mul_direct
@@ -317,12 +279,9 @@ class GroupView:
     # -- conjugation ----------------------------------------------------------
 
     def conjugates(self, g: int, xs) -> list[int]:
-        """[g x g^{-1} for x in xs].  Permutation-backed views compose the
-        permutations directly, which costs no Cayley row."""
+        """[g x g^{-1} for x in xs], composing the permutations directly,
+        which costs no Cayley row."""
         gi = self.inv(g)
-        if self.elements is None:
-            mul = self.mul
-            return [mul(mul(g, x), gi) for x in xs]
         idx = self._index
         if self._pads is not None:
             pads = self._pads
@@ -333,21 +292,15 @@ class GroupView:
         return [idx[compose(gp, compose(els[x], gip))] for x in xs]
 
     def left_multiples(self, g: int, xs) -> list[int]:
-        """[g x for x in xs].  Permutation-backed views compose the
-        permutations directly, which costs no Cayley row."""
-        if self.elements is None:
-            row = self._table[g]
-            return [row[x] for x in xs]
+        """[g x for x in xs], composing the permutations directly, which
+        costs no Cayley row."""
         els = self.elements
         products = left_multiples(els[g], map(els.__getitem__, xs))
         return list(map(self._index.__getitem__, products))
 
     def right_multiples(self, xs, g: int) -> list[int]:
-        """[x g for x in xs].  Permutation-backed views compose the
-        permutations directly, which costs no Cayley row."""
-        if self.elements is None:
-            table = self._table
-            return [table[x][g] for x in xs]
+        """[x g for x in xs], composing the permutations directly, which
+        costs no Cayley row."""
         idx = self._index
         q = self.elements[g]
         if self._pads is not None:

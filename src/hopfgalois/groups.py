@@ -77,7 +77,10 @@ class AbstractGroup:
 
 @lru_cache(maxsize=512)
 def _table_view(table) -> GroupView:
-    return GroupView.from_table(table)
+    """The view of the group through its left-regular permutations
+    x -> a x: the one of a sends point 0 to a, so sorting puts it at index
+    a and ``mul(a, b)`` is ``table[a][b]``."""
+    return GroupView.from_perm_elements([make_perm(row) for row in table], make_perm(table[0]))
 
 
 def _check_table(table):

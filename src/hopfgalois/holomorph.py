@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._numtheory import crt, factorize, is_squarefree, primitive_root
-from .engine import GroupView
 from .errors import PreconditionError, ResourceLimitError
-from .groups import AbstractGroup
+from .groups import AbstractGroup, _table_view
 from .homsearch import automorphisms as _automorphism_maps
 from .permgroup import PermGroup, group_from_elements
 from .perms import compose, identity, make_perm
@@ -46,9 +45,8 @@ def automorphism_group(N: AbstractGroup, max_order: int = AUT_ORDER_BOUND) -> Au
 @lru_cache(maxsize=256)
 def _automorphism_group_cached(table) -> AutomorphismGroup:
     n = len(table)
-    view = GroupView.from_table(table)
     maps = sorted(
-        make_perm([full[x] for x in range(n)]) for full in _automorphism_maps(view)
+        make_perm([full[x] for x in range(n)]) for full in _automorphism_maps(_table_view(table))
     )
     return AutomorphismGroup(group_from_elements(n, maps), tuple(maps))
 

@@ -100,9 +100,9 @@ def isomorphisms(
     ``full_map`` maps every A-index to its B-index.  With ``sub_a``/
     ``sub_b`` given, only isomorphisms carrying sub_a onto sub_b are
     produced (sub_a must be a subgroup of A, sub_b of B).
-    ``by_cycle_type`` (permutation-backed views of one degree) asserts that
-    every isomorphism sought preserves cycle types, and narrows the
-    candidate images accordingly.
+    ``by_cycle_type`` (views of one degree) asserts that every isomorphism
+    sought preserves cycle types, and narrows the candidate images
+    accordingly.
     """
     if A.size != B.size:
         return

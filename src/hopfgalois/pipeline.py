@@ -501,11 +501,7 @@ def extend_family(
         f"base scan covered all {len(base_candidates)} candidate entries",
         set(report.scanned) >= set(base_candidates),
     )
-    rescan = not any(
-        is_pair_isomorphic(J, J_sub, e.group, e.stabilizer)
-        for e in catalogue
-        if e.order == J.order()
-    )
+    rescan = not hgs_types_admitted(J, J_sub, n, catalogue)
     ok &= check("base_no_match_recheck", "quotient pair matches no base entry", rescan)
     return ExtensionCertificate(
         base_degree=n,

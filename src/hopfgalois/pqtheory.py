@@ -365,7 +365,7 @@ def _nx_info(params: PqParameters, G: PermGroup, lam_tau) -> dict:
     return {"q2_divides": vq >= 2, "c": vq - 1, "tau_central": tau_central}
 
 
-def verify_pq(p: int, q: int, *, max_order=None) -> PqVerification:
+def verify_pq(p: int, q: int) -> PqVerification:
     """Cross-check the closed pq theory against the generic machinery.
 
     (a) the constructed families biject with the generic transitive
@@ -472,19 +472,28 @@ def verify_pq(p: int, q: int, *, max_order=None) -> PqVerification:
 
     # (c) no parallel no-HGS at degree pq; (d) the source types propagate to
     # every parallel pair, and same-closure (trivial core) pairs admit
-    # exactly the source's types
+    # exactly the source's types.  A parallel pair admits the types of the
+    # entry it matched, pair isomorphism being an equivalence.
     matches = {}
+    by_id = {e.entry_id: e for e in catalogue}
+    entry_types = {}
+
+    def types_of(entry_id):
+        if entry_id not in entry_types:
+            M = by_id[entry_id]
+            entry_types[entry_id] = hgs_types_admitted(M.group, M.stabilizer, n, catalogue)
+        return entry_types[entry_id]
+
     for e in catalogue:
         reports = analyze_parallel(e, catalogue, matches=matches)
-        source_types = hgs_types_admitted(e.group, e.stabilizer, n, catalogue)
+        source_types = types_of(e.entry_id)
         for rep in reports:
             check(
                 "parallel_pair_matches",
                 not rep.no_hgs,
                 f"entry {e.entry_id}, subgroup class of order {rep.h_class.order}",
             )
-            J, J_sub = _quotient_pair(e, rep)
-            types = hgs_types_admitted(J, J_sub, n, catalogue)
+            types = types_of(rep.match.entry_id) if rep.match else set()
             check(
                 "source_types_propagate",
                 source_types <= types,
@@ -500,12 +509,6 @@ def verify_pq(p: int, q: int, *, max_order=None) -> PqVerification:
     return PqVerification(
         params, ok, tuple(checks), tuple(entry_rows), tuple(cyc_coll + meta_coll)
     )
-
-
-def _quotient_pair(entry, report):
-    from .isomorphism import permutation_pair_of_quotient
-
-    return permutation_pair_of_quotient(entry.group, report.h_class.representative)
 
 
 def _hol_group_for(entry, hol_cyc, params):

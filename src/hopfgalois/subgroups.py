@@ -289,15 +289,6 @@ def all_subgroup_classes(G: PermGroup, *, max_order: int = DEFAULT_MAX_ORDER) ->
     return lat.result()
 
 
-def subgroup_classes_dividing(
-    G: PermGroup, order_divides: int, *, max_order: int = DEFAULT_MAX_ORDER
-) -> list[SubgroupClass]:
-    """Classes of subgroups whose order divides ``order_divides``."""
-    lat = _Lattice(G, order_divides, max_order)
-    lat.run()
-    return lat.result()
-
-
 def index_n_subgroup_classes(
     G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER
 ) -> list[SubgroupClass]:

@@ -25,15 +25,17 @@ def _sym(k):
 
 def _views():
     """A bytes view under CAYLEY_LIMIT, one over it, a tuple view of
-    degree > 256 and a multiplication-table view."""
+    degree > 256 and an abstract group's view, whose indices are the
+    group's own."""
     small = view_of(PermGroup(6, [parse_perm("(0 1 2 3)", 6), parse_perm("(0 4)(1 5)")]))
     large = view_of(_sym(7))
     wide = view_of(PermGroup(300, [parse_perm("(0 1 2 3)(296 297 298 299)", 300),
                                    parse_perm("(1 3)(297 299)", 300)]))
-    table = groups_of_order(12).groups[2].view()
+    N = groups_of_order(12).groups[2]
+    table = N.view()
     assert small.size <= CAYLEY_LIMIT < large.size
     assert isinstance(wide.elements[0], tuple)
-    assert table.elements is None
+    assert all(table.mul(a, b) == N.table[a][b] for a in range(N.order) for b in range(N.order))
     return [small, large, wide, table]
 
 
@@ -156,12 +158,8 @@ def test_power_map_and_conjugates_build_no_cayley_row():
 
 
 def _closure_oracle(v, seed):
-    """The closure of ``seed`` by oracles.mulclose on permutations: the
-    view's own, or a table view's left-regular ones (x -> g x), whose image
-    of the identity 0 names the element."""
-    if v.elements is not None:
-        return {v._index[p] for p in mulclose([v.elements[g] for g in seed], len(v.elements[0]))}
-    return {p[0] for p in mulclose([make_perm(v._table[g]) for g in seed], v.size)}
+    """The closure of ``seed`` by oracles.mulclose on the view's permutations."""
+    return {v._index[p] for p in mulclose([v.elements[g] for g in seed], len(v.elements[0]))}
 
 
 @pytest.mark.parametrize("which", range(4))

@@ -13,6 +13,7 @@ from hopfgalois.groups import (
     trivial_group,
 )
 from hopfgalois.homsearch import isomorphisms
+from hopfgalois.perms import make_perm
 
 from oracles import brute_isomorphic
 
@@ -51,6 +52,22 @@ def test_catalogue_pairwise_non_isomorphic():
                 assert (
                     next(isomorphisms(groups[i].view(), groups[j].view()), None) is None
                 )
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 18, 20, 21, 24, 27, 55])
+def test_view_indices_are_the_table_indices(n):
+    """An abstract group's view holds its left-regular permutations, with
+    element a at index a: products, inverses and orders agree with the
+    multiplication table."""
+    for N in groups_of_order(n).groups:
+        v = N.view()
+        assert v.identity == 0
+        orders = v.element_orders()
+        for a in range(n):
+            assert v.elements[a] == make_perm(N.table[a])
+            assert v.inv(a) == N.inverse(a)
+            assert orders[a] == N.element_order(a)
+            assert all(v.mul(a, b) == N.table[a][b] for b in range(n))
 
 
 def test_unsupported_order():

@@ -109,3 +109,24 @@ def test_verify_pq_7_3_structure():
     # every closed-form triple, orbit and iso columns included, matches
     assert not [c for c in report.checks if c[0] == "counts_match" and not c[1]]
     assert report.ok
+
+
+def test_parallel_pairs_admit_the_types_of_their_match():
+    """verify_pq part (d) takes a parallel pair's types from the entry it
+    matched; the oracle is the pair's own quotient scanned against the
+    catalogue, for every report of every degree-21 entry."""
+    from hopfgalois.isomorphism import permutation_pair_of_quotient
+    from hopfgalois.pipeline import analyze_parallel, build_catalogue, hgs_types_admitted
+
+    catalogue = build_catalogue(21)
+    by_id = {e.entry_id: e for e in catalogue}
+    matches = {}
+    reports = 0
+    for e in catalogue:
+        for rep in analyze_parallel(e, catalogue, matches=matches):
+            M = by_id[rep.match.entry_id]
+            expected = hgs_types_admitted(M.group, M.stabilizer, 21, catalogue)
+            J, J_sub = permutation_pair_of_quotient(e.group, rep.h_class.representative)
+            assert hgs_types_admitted(J, J_sub, 21, catalogue) == expected
+            reports += 1
+    assert reports > len(catalogue)
