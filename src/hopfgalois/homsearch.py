@@ -12,13 +12,9 @@ and each edge composes them, so the search builds no Cayley row there;
 target indices are looked up once per solution.
 
 A generator's candidate images are the target elements with its
-fingerprint, (order, conjugacy class size), in index order.  When every
-isomorphism sought is conjugation by a bijection of the points, the
-element's cycle type joins the fingerprint; this drops only images no such
-map can use, so the search meets its solutions in the same order.  Such
-searches are run only once ``isomorphism.point_map`` has found that a map
-exists, to produce the witness: negative tests between two point-stabilizer
-pairs never reach this module.
+fingerprint, (order, conjugacy class size), in index order.  Pair tests
+between two (transitive group, Stab(0)) pairs never reach this module:
+``isomorphism.point_map`` decides them and its point map is the witness.
 """
 
 from __future__ import annotations
@@ -68,12 +64,9 @@ def _adapted_generators(view: GroupView, sub: frozenset | None):
     return list(view.greedy_generators(range(view.size), sub_gens)), len(sub_gens)
 
 
-def _candidate_pools(A: GroupView, B: GroupView, gens, cut, sub_b, by_cycle_type):
+def _candidate_pools(A: GroupView, B: GroupView, gens, cut, sub_b):
     fps_a = A.fingerprints()
     fps_b = B.fingerprints()
-    if by_cycle_type:
-        fps_a = list(zip(fps_a, A.cycle_types()))
-        fps_b = list(zip(fps_b, B.cycle_types()))
     buckets = {}
     for j in range(B.size):
         buckets.setdefault(fps_b[j], []).append(j)
@@ -93,16 +86,12 @@ def isomorphisms(
     sub_a: frozenset | None = None,
     sub_b: frozenset | None = None,
     first_only: bool = True,
-    by_cycle_type: bool = False,
 ):
     """Yield isomorphisms A -> B as ``(gens, gen_images, full_map)``.
 
     ``full_map`` maps every A-index to its B-index.  With ``sub_a``/
     ``sub_b`` given, only isomorphisms carrying sub_a onto sub_b are
     produced (sub_a must be a subgroup of A, sub_b of B).
-    ``by_cycle_type`` (views of one degree) asserts that every isomorphism
-    sought preserves cycle types, and narrows the candidate images
-    accordingly.
     """
     if A.size != B.size:
         return
@@ -115,7 +104,7 @@ def isomorphisms(
         return
     gens, cut = _adapted_generators(A, sub_a)
     schedules = [_Schedule(A, gens[: t + 1], A.identity) for t in range(len(gens))]
-    pools = _candidate_pools(A, B, gens, cut, sub_b, by_cycle_type)
+    pools = _candidate_pools(A, B, gens, cut, sub_b)
     if any(not p for p in pools):
         return
     depth = len(gens)

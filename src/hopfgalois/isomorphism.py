@@ -9,13 +9,12 @@ When both pairs are (transitive group, stabilizer of point 0) on one
 degree, every pair isomorphism is conjugation by a bijection of the points
 fixing 0 (the two actions are equivalent to the actions on the cosets of
 the stabilizers).  Such pairs are decided by searching for that bijection
-(``point_map``); the generator-image search runs only once it exists, to
-produce the witness, with each generator's candidate images sharing its
-cycle type.  Callers that need no witness ask ``is_pair_isomorphic``,
-which stops at the point map.  The same backtrack decides which subgroups
-of one transitive group an automorphism keeping Stab(0)'s class carries
-into which classes, on the group's points and one subgroup's cosets side
-by side (``TwoBlockMaps``).
+(``point_map``), and the bijection s is the witness: g -> s g s^-1, listed
+on the target's generators.  They build no Cayley view and run no
+generator-image search, so no order bound applies to them.  The same
+backtrack decides which subgroups of one transitive group an automorphism
+keeping Stab(0)'s class carries into which classes, on the group's points
+and one subgroup's cosets side by side (``TwoBlockMaps``).
 """
 
 from __future__ import annotations
@@ -36,9 +35,10 @@ class PairWitness:
     """Generator-image list defining an isomorphism, with subgroup data.
 
     ``mapping`` pairs source generators with their images (permutations of
-    the respective groups' points).  ``verified`` records that the witness
-    was replayed: the map extends to a bijective homomorphism carrying the
-    designated subgroup onto its target.
+    the respective groups' points).  ``verified`` records that the map
+    extends to a bijective homomorphism carrying the designated subgroup
+    onto its target: the witness was replayed, or is conjugation by a point
+    map (see ``pair_isomorphic``).
     """
 
     mapping: tuple
@@ -85,10 +85,12 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
     images f(g) = s g s^-1 of elements g whose orbit of 0 is every point,
     through s(g x) = f(g) s(x).  The first, an element of G with the longest
     cycle through 0, is mapped only up to conjugation by M_sub (if s works,
-    so does h s for h in M_sub); generators of G follow while they add
-    points.  Their images are chosen among M's elements of the same key, one
-    at a time (``_point_search``).  A total s that conjugates G's generators
-    into M conjugates G onto M, since the orders agree.
+    so does h s for h in M_sub); conjugacy-class representatives of G follow
+    while they add points (they generate G, as no proper subgroup meets
+    every class).  Their images are chosen among M's elements of the same
+    key, one at a time (``_point_search``).  So s depends on G's element set,
+    not on its generators.  A total s that conjugates G's generators into M
+    conjugates G onto M, since the orders agree.
     """
     vg, vm = view_of(G), view_of(M)
     pools = vm.point_pools()
@@ -100,9 +102,10 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
         return cycle_type(g), cycle_length_at(g, 0)
 
     first_key = _first_key(sizes)
+    els = vg.elements
     seq = _covering_sequence(
-        vg.elements[next(iter(vg.point_pools()[first_key].values()))[0]],
-        G.generators, (0,), lambda g: sizes[key(g)],
+        els[next(iter(vg.point_pools()[first_key].values()))[0]],
+        [els[c[0]] for c in vg.conj_classes()], (0,), lambda g: sizes[key(g)],
     )
     first = vm.point_pool_reps(first_key, [vm._index[h] for h in M_sub.generators])
 
@@ -380,25 +383,29 @@ def pair_isomorphic(
 ) -> PairWitness | None:
     """A verified isomorphism G -> M with image of G_sub equal to M_sub.
 
-    Two (transitive group, Stab(0)) pairs of one degree are first put to
-    ``point_map``; only a pair that still needs the witness search is held
-    to ``max_order``."""
+    Two (transitive group, Stab(0)) pairs of one degree and order are
+    decided by ``point_map``.  A point map s certifies the witness: the map
+    g -> s g s^-1 fixes 0, so carries G_sub onto M_sub, and maps G into M,
+    onto as |G| = |M|.  It is given as (s^-1 m s, m) for M's generators m,
+    with no view bound, search or replay.  Every other pair shape goes
+    through the generator-image search, held to ``max_order``."""
     if G.order() != M.order() or G_sub.order() != M_sub.order():
         return None
-    by_cycle_type = _point_stabilizer_pairs(G, G_sub, M, M_sub)
-    if by_cycle_type and point_map(G, M, M_sub) is None:
-        return None
+    if _point_stabilizer_pairs(G, G_sub, M, M_sub):
+        s = point_map(G, M, M_sub)
+        if s is None:
+            return None
+        s_inv = inverse(s)
+        return PairWitness(tuple((compose(s_inv, compose(m, s)), m) for m in M.generators), True)
     va, vb = _bounded_views(G, M, max_order)
     sub_a = _subgroup_indices(va, G_sub)
     sub_b = _subgroup_indices(vb, M_sub)
-    if not by_cycle_type and (
+    if (
         va.invariant_vector() != vb.invariant_vector()
         or va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b)
     ):
         return None
-    for gens, images, full in isomorphisms(
-        va, vb, sub_a=sub_a, sub_b=sub_b, first_only=True, by_cycle_type=by_cycle_type
-    ):
+    for gens, images, full in isomorphisms(va, vb, sub_a=sub_a, sub_b=sub_b, first_only=True):
         if not _replay_verifies(va, vb, full, sub_a, sub_b):
             raise PreconditionError("pair isomorphism replay failed")
         return _witness_from(va, vb, gens, images)
@@ -422,11 +429,9 @@ def is_pair_isomorphic(
     """Whether ``pair_isomorphic`` finds a witness, for callers that read
     only the verdict.
 
-    For two (transitive group, Stab(0)) pairs of one degree and order, a
-    point map s already certifies it: g -> s g s^-1 fixes 0, so carries
-    G_sub onto M_sub, and maps G into M, onto as |G| = |M|.  No view
-    bound, witness search or replay is needed then; every other pair shape
-    goes through ``pair_isomorphic``."""
+    For two (transitive group, Stab(0)) pairs of one degree and order the
+    point map's existence is the verdict, so no witness is built; every
+    other pair shape goes through ``pair_isomorphic``."""
     if G.order() != M.order() or G_sub.order() != M_sub.order():
         return False
     if _point_stabilizer_pairs(G, G_sub, M, M_sub):

@@ -222,9 +222,10 @@ def analyze_parallel(
     tuple of each quotient J matched so far, mapped to its (match, scanned).
     A quotient whose elements are in it is not matched again.  That is
     exact: J' = Stab_J(0) is fixed by J's elements, and the match and its
-    witness (``homsearch`` on J's view, which sorts the elements) depend on
-    the element set alone, not on J's generators.  Without a table the call
-    keeps one of its own, so repeats within the entry are matched once.
+    witness (the point map, which ``point_map`` finds from J's sorted
+    elements and conjugacy classes) depend on the element set alone, not on
+    J's generators.  Without a table the call keeps one of its own, so
+    repeats within the entry are matched once.
     """
     if matches is None:
         matches = {}

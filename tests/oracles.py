@@ -9,6 +9,7 @@ paths can be checked against it on small inputs.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from hopfgalois.perms import compose, identity, inverse, perm_order
 
@@ -205,6 +206,21 @@ def _extend_hom(gens, images, gels, degree):
     return phi
 
 
+def witness_replays(mapping, G, G_sub, M, M_sub) -> bool:
+    """Whether the generator images of a pair witness between groups of one
+    degree extend, by closure under compose alone, to a bijective
+    homomorphism G -> M that carries G_sub onto M_sub."""
+    gels = G.elements()
+    phi = _extend_hom([a for a, _ in mapping], [b for _, b in mapping], gels, G.degree)
+    return (
+        phi is not None
+        and set(phi) == set(gels)
+        and set(phi.values()) == set(M.elements())
+        and len(gels) == M.order()
+        and {phi[h] for h in G_sub.elements()} == set(M_sub.elements())
+    )
+
+
 # -- the matching scan before keyed lookup ----------------------------------
 #
 # Unlike the oracles above this one runs the package's lattice and
@@ -247,7 +263,8 @@ def same_order_scan(entry, catalogue):
 
 def _fingerprint_pair_witness(G, G_sub, M, M_sub, by_cycle_type=False):
     """The first pair isomorphism found with (order, class size) candidates,
-    narrowed by cycle type when ``by_cycle_type``."""
+    narrowed by cycle type when ``by_cycle_type`` (through row_isomorphisms,
+    as the package's search has no such filter)."""
     from hopfgalois.engine import view_of
     from hopfgalois.homsearch import isomorphisms
 
@@ -260,7 +277,8 @@ def _fingerprint_pair_witness(G, G_sub, M, M_sub, by_cycle_type=False):
         return None
     if va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b):
         return None
-    for gens, images, _ in isomorphisms(va, vb, sub_a=sub_a, sub_b=sub_b, by_cycle_type=by_cycle_type):
+    search = partial(row_isomorphisms, by_cycle_type=True) if by_cycle_type else isomorphisms
+    for gens, images, _ in search(va, vb, sub_a=sub_a, sub_b=sub_b):
         return tuple((va.elements[g], vb.elements[h]) for g, h in zip(gens, images))
     return None
 
@@ -438,7 +456,11 @@ def row_isomorphisms(
     first_only=True,
     by_cycle_type=False,
 ):
-    """Yield isomorphisms A -> B as ``(gens, gen_images, full_map)``."""
+    """Yield isomorphisms A -> B as ``(gens, gen_images, full_map)``.
+
+    ``by_cycle_type`` (views of one degree) keeps only the candidate images
+    of each generator's cycle type, as the search did when it produced the
+    witness of two point-stabilizer pairs."""
     from hopfgalois.homsearch import _adapted_generators, _candidate_pools, _Schedule
 
     if A.size != B.size:
@@ -452,7 +474,10 @@ def row_isomorphisms(
         return
     gens, cut = _adapted_generators(A, sub_a)
     schedules = [_Schedule(A, gens[: t + 1], A.identity) for t in range(len(gens))]
-    pools = _candidate_pools(A, B, gens, cut, sub_b, by_cycle_type)
+    pools = _candidate_pools(A, B, gens, cut, sub_b)
+    if by_cycle_type:
+        types_a, types_b = A.cycle_types(), B.cycle_types()
+        pools = [[j for j in pool if types_b[j] == types_a[g]] for g, pool in zip(gens, pools)]
     if any(not p for p in pools):
         return
     depth = len(gens)

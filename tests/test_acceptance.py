@@ -382,3 +382,14 @@ def test_criterion_8_stretch_degree_27(tmp_path):
     certs = iterate_family(entry, witness, [q], catalogue)
     assert report(f"criterion 8: degree-27 witness extended by q=29, verified={certs[0].verified}",
                   certs[0].verified)
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch checks need HOPFGALOIS_STRETCH=1")
+def test_criterion_8_stretch_verify_pq_19_3():
+    """verify_pq(19, 3) passes every check.  Its order-19494 entry has
+    quotient pairs past the 10,000 bound on Cayley views; their matches are
+    certified by point maps, which need no view."""
+    rep = verify_pq(19, 3)
+    failures = rep.failures()
+    assert report(f"criterion 8: verify_pq(19, 3) ok={rep.ok}, {len(failures)} failures",
+                  rep.ok and not failures)

@@ -289,15 +289,72 @@ def test_point_map_degree_55_entry_51():
 def test_point_map_no_is_decided_below_the_view_bound():
     """Two same-order degree-8 (transitive group, Stab(0)) pairs that no
     point bijection conjugates: the answer is no even when their order
-    exceeds the bound on the groups the witness search may enumerate."""
+    exceeds the bound on the groups the witness search may enumerate.  A
+    yes between such pairs is the point map's own witness, which needs no
+    bound either and replays; a pair of any other shape is still held to
+    the bound."""
+    from oracles import witness_replays
+
     G, G_sub = _pair(8, ["(4 5)(6 7)", "(0 4 1 5)(2 6 3 7)", "(0 6 1 7)(2 4 3 5)"], ["(4 5)(6 7)"])
     M, M_sub = _pair(8, ["(0 4 2 6)(1 5 3 7)", "(0 4 3 7)(1 5 2 6)"], ["(4 5)(6 7)"])
     assert is_point_stabilizer_pair(G, G_sub) and is_point_stabilizer_pair(M, M_sub)
     assert G.order() == M.order() == 16
     assert point_map(G, M, M_sub) is None
     assert pair_isomorphic(G, G_sub, M, M_sub, max_order=8) is None
+    witness = pair_isomorphic(G, G_sub, G, G_sub, max_order=8)
+    assert witness is not None and witness.verified
+    assert [m for _, m in witness.mapping] == list(G.generators)
+    assert witness_replays(witness.mapping, G, G_sub, G, G_sub)
+    trivial = PermGroup(8, [])
+    assert not is_point_stabilizer_pair(G, trivial)
     with pytest.raises(ResourceLimitError):
-        pair_isomorphic(G, G_sub, G, G_sub, max_order=8)
+        pair_isomorphic(G, trivial, G, trivial, max_order=8)
+
+
+def _regenerated(J):
+    """J on another generating list: elements from the top of its sorted
+    element tuple, each kept while it enlarges the group they generate."""
+    gens = []
+    for x in reversed(J.elements()):
+        if not gens or x not in PermGroup(J.degree, gens):
+            gens.append(x)
+            if PermGroup(J.degree, gens).order() == J.order():
+                return PermGroup(J.degree, gens, J.order())
+    raise AssertionError("unreachable: J's elements generate J")
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_point_map_witness_depends_on_the_element_set_alone(n, monkeypatch):
+    """A quotient pair rebuilt on another generating list of J's element set
+    gets the witness J gets against each catalogue entry it matches, with
+    no generator-image search: the shared match table keys matches by the
+    element set."""
+    import hopfgalois.isomorphism as iso
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import index_n_subgroup_classes
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("homsearch.isomorphisms was called")
+
+    monkeypatch.setattr(iso, "isomorphisms", no_search)
+    catalogue = build_catalogue(n)
+    quotients = {}
+    for e in catalogue[::3]:
+        for c in index_n_subgroup_classes(e.group, n):
+            J, J_sub = permutation_pair_of_quotient(e.group, c.representative)
+            quotients.setdefault(J.elements(), (J, J_sub))
+    tested = 0
+    for J, J_sub in quotients.values():
+        K = _regenerated(J)
+        assert K.elements() == J.elements() and K.generators != J.generators
+        K_sub = PermGroup(K.degree, J_sub.generators, J_sub.order())
+        for m in catalogue:
+            if m.order != J.order():
+                continue
+            witness = pair_isomorphic(J, J_sub, m.group, m.stabilizer)
+            assert pair_isomorphic(K, K_sub, m.group, m.stabilizer) == witness
+            tested += witness is not None
+    assert tested
 
 
 # -- the witness search against its Cayley-row oracle ------------------------
@@ -354,8 +411,8 @@ def _search_args(G, G_sub, M, M_sub):
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, monkeypatch):
-    """Every pair test analyze_parallel makes, searched with and without
-    cycle-type candidates."""
+    """Every pair test analyze_parallel makes, put to the search although
+    the point map now decides it."""
     from hopfgalois import pipeline
 
     catalogue = pipeline.build_catalogue(n)
@@ -365,8 +422,7 @@ def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, monkeypatch):
     assert calls
     for call in calls:
         va, vb, subs = _search_args(*call)
-        for by_cycle_type in (True, False):
-            _same_results(va, vb, by_cycle_type=by_cycle_type, **subs)
+        _same_results(va, vb, **subs)
 
 
 def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
@@ -381,16 +437,16 @@ def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
     calls = _recorded_pair_tests(
         monkeypatch, iso, lambda: [classify_index_n_pairwise(e.group, 21) for e in catalogue])
     assert calls and all(G is M for G, _, M, _ in calls)
-    for G, G_sub, M, M_sub in calls:
-        va, vb, subs = _search_args(G, G_sub, M, M_sub)
-        by_cycle_type = is_point_stabilizer_pair(G, G_sub) and is_point_stabilizer_pair(M, M_sub)
-        _same_results(va, vb, by_cycle_type=by_cycle_type, **subs)
+    for call in calls:
+        va, vb, subs = _search_args(*call)
+        _same_results(va, vb, **subs)
 
 
 def test_witness_search_and_replay_build_no_row_on_the_target(monkeypatch):
     """Each match analyze_parallel finds at degree 12, found again against a
-    freshly built view of the catalogue pair: same witness, and neither the
-    search nor its replay builds a Cayley row of the target."""
+    freshly built view of the catalogue pair: same witness, and the point
+    map builds no Cayley row of the target; nor do the generator-image
+    search and its replay on their own."""
     from hopfgalois import pipeline
     from hopfgalois.homsearch import isomorphisms
     from hopfgalois.isomorphism import _replay_verifies
@@ -409,7 +465,7 @@ def test_witness_search_and_replay_build_no_row_on_the_target(monkeypatch):
         # the search and the replay on their own
         fresh, fresh_sub = PermGroup(12, M.generators), PermGroup(12, M_sub.generators)
         va, vb, subs = _search_args(J, J_sub, fresh, fresh_sub)
-        _, _, full = next(isomorphisms(va, vb, by_cycle_type=True, **subs))
+        _, _, full = next(isomorphisms(va, vb, **subs))
         assert all(row is None for row in vb._rows)
         assert _replay_verifies(va, vb, full, subs["sub_a"], subs["sub_b"])
         assert all(row is None for row in vb._rows)

@@ -303,25 +303,35 @@ def test_chained_extension_arithmetic():
 
 @pytest.mark.parametrize("n", [6, 8, 12])
 def test_analyze_parallel_equals_same_order_scan(n):
-    """Keyed lookup and cycle-type candidates find the match and witness
-    the full same-order scan finds; a no-HGS report still lists every
-    same-order entry."""
-    from oracles import same_order_scan
+    """Keyed lookup and the point map find the match the full same-order
+    scan finds, and each match's witness replays; a no-HGS report still
+    lists every same-order entry."""
+    from hopfgalois.isomorphism import permutation_pair_of_quotient
+    from hopfgalois.subgroups import class_key_of
+    from oracles import same_order_scan, witness_replays
 
     catalogue = build_catalogue(n)
+    by_id = {e.entry_id: e for e in catalogue}
     for entry in catalogue:
         reports = analyze_parallel(entry, catalogue)
         expected = same_order_scan(entry, catalogue)
+        stab_key = class_key_of(entry.group, entry.stabilizer)
         assert len(reports) == len(expected)
-        for rep, (core, match_id, mapping, no_hgs, scanned) in zip(reports, expected):
+        for rep, (core, match_id, _, no_hgs, scanned) in zip(reports, expected):
             where = (n, entry.entry_id, rep.h_class.key)
             assert rep.core_order == core, where
             assert rep.no_hgs == no_hgs, where
             if no_hgs:
                 assert rep.match is None and rep.scanned == scanned, where
+                continue
+            assert rep.match.entry_id == match_id, where
+            if rep.h_class.key == stab_key:
+                J, J_sub = entry.group, entry.stabilizer
             else:
-                assert rep.match.entry_id == match_id, where
-                assert rep.match.witness.mapping == mapping, where
+                J, J_sub = permutation_pair_of_quotient(entry.group, rep.h_class.representative)
+            cand = by_id[match_id]
+            assert witness_replays(
+                rep.match.witness.mapping, J, J_sub, cand.group, cand.stabilizer), where
 
 
 def test_hgs_types_admitted_uses_the_quotient():
@@ -435,3 +445,17 @@ def test_hgs_types_admitted_searches_no_witness(monkeypatch):
 
     monkeypatch.setattr(iso, "isomorphisms", no_search)
     assert [hgs_types_admitted(G, G_sub, 8, catalogue) for G, G_sub in pairs] == expected
+
+
+def test_degree_rows_need_no_generator_image_search(monkeypatch):
+    """Every match at degrees 8 and 12 is certified by its point map: the
+    rows come out the same with the generator-image search disabled."""
+    import hopfgalois.isomorphism as iso
+    from hopfgalois.pipeline import analyze_degree, degree_summary
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("homsearch.isomorphisms was called")
+
+    monkeypatch.setattr(iso, "isomorphisms", no_search)
+    assert detect_no_hgs(8).rows() == [(8, 148, 8)]
+    assert degree_summary(12, *analyze_degree(12)).rows() == [(12, 134, 23)]
