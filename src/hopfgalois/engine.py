@@ -237,7 +237,8 @@ class GroupView:
     def greedy_generators(self, subset, seed=()) -> tuple:
         """Generators of the subgroup with element set ``subset``: ``seed``
         (elements of it), then each element of ``subset`` that the ones
-        before do not generate, by descending order, then ascending index."""
+        before do not generate, by descending order, then ascending index.
+        Each new generator grows the closure of the ones before it."""
         orders = self.element_orders()
         pool = sorted(subset, key=lambda i: (-orders[i], i))
         target = len(pool)
@@ -249,32 +250,48 @@ class GroupView:
             if x in have:
                 continue
             gens.append(x)
-            have = self.closure(gens)
+            have = self._grow(have, gens)
         return tuple(gens)
 
     def closure(self, seed, maxsize=None) -> frozenset | None:
         """Subgroup generated by ``seed``; None exactly when it has more than
-        ``maxsize`` elements.  Views with Cayley rows step through each
-        generator's row, fetched once."""
+        ``maxsize`` elements."""
         els = {self.identity}
         gens = [g for g in seed if g != self.identity]
         els.update(gens)
-        if self._rows is not None:
-            rows = [self._rows[g] or self._build_row(g) for g in gens]
-        else:
-            mul = self._mul_direct
-            rows = None
-        frontier = els
+        return self._close(els, els, gens, maxsize)
+
+    def _grow(self, have: frozenset, gens) -> frozenset:
+        """The subgroup generated by ``gens``, given ``have``, the one
+        generated by all but the last: only the products of the last
+        generator with ``have`` can be new, and the rest grows from them."""
+        fresh = self._products(gens[-1:], have)
+        fresh -= have
+        return self._close(fresh.union(have), fresh, gens)
+
+    def _close(self, els: set, frontier, gens, maxsize=None) -> frozenset | None:
+        """Close ``els`` under left multiplication by ``gens``, where only
+        the elements of ``frontier`` may have products outside it."""
         while frontier:
             if maxsize is not None and len(els) > maxsize:
                 return None
-            if rows is None:
-                frontier = {mul(g, x) for g in gens for x in frontier}
-            else:
-                frontier = {row[x] for row in rows for x in frontier}
+            frontier = self._products(gens, frontier)
             frontier -= els
             els |= frontier
         return frozenset(els)
+
+    def _products(self, gens, xs) -> set:
+        """{g x for g in gens for x in xs}.  Views with Cayley rows step
+        through each generator's row; the others compose with its
+        permutation, by ``bytes.translate`` over its pad when they can."""
+        if self._rows is not None:
+            rows = [self._rows[g] or self._build_row(g) for g in gens]
+            return {row[x] for row in rows for x in xs}
+        idx, els = self._index, self.elements
+        if self._pads is not None:
+            pads = [self._pads[g] for g in gens]
+            return {idx[els[x].translate(pad)] for pad in pads for x in xs}
+        return {idx[compose(els[g], els[x])] for g in gens for x in xs}
 
     # -- conjugation ----------------------------------------------------------
 
@@ -290,6 +307,33 @@ class GroupView:
         els = self.elements
         gp, gip = els[g], els[gi]
         return [idx[compose(gp, compose(els[x], gip))] for x in xs]
+
+    def normalizing(self, xs, gens, subset, skip):
+        """Iterator over the x in ``xs`` outside ``skip`` with x g x^{-1} in
+        ``subset`` for every g in ``gens``.  ``skip`` is read as each x is
+        reached, so the caller may grow it between steps.  Bytes views
+        compare the table of x g x^{-1}, which ``bytes.maketrans`` builds
+        from x and x g, with the pads of ``subset``, so x needs no inverse.
+        The last generator is tested first and the others only on its
+        survivors: in a greedy list it has the least order, and it rejects
+        the most candidates in the degree-55 lattices."""
+        if self._pads is None:
+            return (
+                x for x in xs
+                if x not in skip and all(y in subset for y in self.conjugates(x, gens))
+            )
+        if not gens:
+            return (x for x in xs if x not in skip)
+        els, pads = self.elements, self._pads
+        members = {pads[u] for u in subset}
+        maketrans = bytes.maketrans
+        *rest, first = [els[g] for g in gens]
+        return (
+            x for x in xs
+            if x not in skip
+            and maketrans(els[x], first.translate(pads[x])) in members
+            and all(maketrans(els[x], q.translate(pads[x])) in members for q in rest)
+        )
 
     def left_multiples(self, g: int, xs) -> list[int]:
         """[g x for x in xs], composing the permutations directly, which

@@ -185,7 +185,10 @@ def _point_search(seq, keys, pools, first, image, sigma, accept):
                     return s
         return None
 
-    return search([], sigma, hit, orbit)
+    try:
+        return search([], sigma, hit, orbit)
+    finally:
+        search = None  # break the cycle through its own closure cell
 
 
 def _extend_point_map(pairs, sigma, hit, orbit):

@@ -14,6 +14,7 @@ membership tests and element enumeration are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 from .engine import GroupView
@@ -137,6 +138,7 @@ def _build_chain(degree, gens, first_base=None, order=None):
                 complete(j)
     except _Complete:
         pass
+    complete = None  # break the cycle through its own closure cell
     return levels
 
 
@@ -365,13 +367,23 @@ def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
 
 @dataclass
 class CosetActionResult:
-    """Action of G on the left cosets of H, with kernel = Core_G(H)."""
+    """Action of G on the left cosets of H, with kernel = Core_G(H).  The
+    kernel is known by its elements; its group is built on first use."""
 
     image: PermGroup
-    kernel: PermGroup
     point_of_identity_coset: int
     _coset_of: dict = field(repr=False)
     _reps: list = field(repr=False)
+    _kernel_elements: list = field(repr=False)
+
+    @property
+    def kernel_order(self) -> int:
+        return len(self._kernel_elements)
+
+    @cached_property
+    def kernel(self) -> PermGroup:
+        els = self._kernel_elements  # never empty: the identity is in it
+        return group_from_elements(len(els[0]), els)
 
     def image_of_element(self, x):
         """The permutation of cosets induced by x (x must lie in G)."""
@@ -406,10 +418,9 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetActionResult:
         for h in h_elements
         if all(cosets(y) == i for i, y in enumerate(left_multiples(h, reps)))
     ]
-    kernel = group_from_elements(degree, kernel_els)
     image_gens = [make_perm(map(cosets, left_multiples(g, reps))) for g in G.generators]
     image = PermGroup(max(index, 1), image_gens, G.order() // len(kernel_els))
-    return CosetActionResult(image, kernel, 0, coset_of, reps)
+    return CosetActionResult(image, 0, coset_of, reps, kernel_els)
 
 
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):

@@ -442,41 +442,20 @@ def verify_pq(p: int, q: int) -> PqVerification:
         if partner is not None:
             matched[e.entry_id] = matched[partner.entry_id]
 
-    # (b) predicted counts
-    for e in catalogue:
-        got = matched.get(e.entry_id)
-        if got is None:
-            continue
-        G_fam, tag, info = got
-        if tag == "NxX":
-            info = dict(info)
-            info.update(_nx_info(params, e.group, lam_tau) if e.type_label == cyclic_label else _nx_info(params, G_fam, lam_tau))
-        predicted = predicted_counts(tag, params, info)
-        computed = classify_index_n(e.group, n).triple()
-        entry_rows.append(
-            {
-                "entry_id": e.entry_id,
-                "type_label": e.type_label,
-                "order": e.order,
-                "family": tag,
-                "info": {k: v for k, v in info.items()},
-                "predicted": predicted.triple(),
-                "computed": computed,
-            }
-        )
-        check(
-            "counts_match",
-            predicted.triple() == computed,
-            f"entry {e.entry_id} ({tag}, order {e.order}): predicted {predicted.triple()}, computed {computed}",
-        )
-
-    # (c) no parallel no-HGS at degree pq; (d) the source types propagate to
-    # every parallel pair, and same-closure (trivial core) pairs admit
-    # exactly the source's types.  A parallel pair admits the types of the
-    # entry it matched, pair isomorphism being an equivalence.
+    # (b) predicted counts; (c) no parallel no-HGS at degree pq; (d) the
+    # source types propagate to every parallel pair, and same-closure
+    # (trivial core) pairs admit exactly the source's types.  A parallel
+    # pair admits the types of the entry it matched, pair isomorphism being
+    # an equivalence.  Each entry's index-n lattice is run once, for (b) and
+    # (c) together: analyze_parallel gives one report per class, in the
+    # lattice's order.  The checks of (c) and (d) follow all of (b).
     matches = {}
     by_id = {e.entry_id: e for e in catalogue}
     entry_types = {}
+    later_checks = []
+
+    def check_later(name, ok, detail):
+        later_checks.append((name, bool(ok), detail))
 
     def types_of(entry_id):
         if entry_id not in entry_types:
@@ -486,25 +465,51 @@ def verify_pq(p: int, q: int) -> PqVerification:
 
     for e in catalogue:
         reports = analyze_parallel(e, catalogue, matches=matches)
+        got = matched.get(e.entry_id)
+        if got is not None:
+            G_fam, tag, info = got
+            if tag == "NxX":
+                info = dict(info)
+                info.update(_nx_info(params, e.group, lam_tau) if e.type_label == cyclic_label else _nx_info(params, G_fam, lam_tau))
+            predicted = predicted_counts(tag, params, info)
+            classes = [r.h_class for r in reports]
+            computed = classify_index_n(e.group, n, classes=classes).triple()
+            entry_rows.append(
+                {
+                    "entry_id": e.entry_id,
+                    "type_label": e.type_label,
+                    "order": e.order,
+                    "family": tag,
+                    "info": {k: v for k, v in info.items()},
+                    "predicted": predicted.triple(),
+                    "computed": computed,
+                }
+            )
+            check(
+                "counts_match",
+                predicted.triple() == computed,
+                f"entry {e.entry_id} ({tag}, order {e.order}): predicted {predicted.triple()}, computed {computed}",
+            )
         source_types = types_of(e.entry_id)
         for rep in reports:
-            check(
+            check_later(
                 "parallel_pair_matches",
                 not rep.no_hgs,
                 f"entry {e.entry_id}, subgroup class of order {rep.h_class.order}",
             )
             types = types_of(rep.match.entry_id) if rep.match else set()
-            check(
+            check_later(
                 "source_types_propagate",
                 source_types <= types,
                 f"entry {e.entry_id}: {sorted(types)} does not contain {sorted(source_types)}",
             )
             if rep.core_order == 1:
-                check(
+                check_later(
                     "same_closure_types_equal",
                     types == source_types,
                     f"entry {e.entry_id}: {sorted(types)} vs {sorted(source_types)}",
                 )
+    checks.extend(later_checks)
     ok = all(c[1] for c in checks)
     return PqVerification(
         params, ok, tuple(checks), tuple(entry_rows), tuple(cyc_coll + meta_coll)

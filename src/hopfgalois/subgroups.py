@@ -2,14 +2,17 @@
 
 The lattice is grown bottom-up by cyclic extension: a class representative
 U is extended by elements g of its normalizer with g^p in U, so the new
-subgroup is the union of p cosets and needs no closure.  Solvable ambient
-groups are fully covered this way; otherwise the walk is also seeded with
-the perfect subgroups, of the orders it is after only (none when those
-force solvability).  They all lie in the perfect residual G^(oo), so the
-search runs inside it (on a view of its own when it is proper): G^(oo)
-itself, and the perfect residuals of two-generated subgroups (every perfect
-group within the supported order range is 2-generated), of which only half
-the generating pairs are closed: one per pair up to conjugacy and swapping.
+subgroup is the union of p cosets and needs no closure.  The candidates g
+are read off the inverse of the p-th power map, and the normalizer test
+runs over them in one pass (``GroupView.normalizing``) before any coset
+is formed.  Solvable ambient groups are fully covered this way; otherwise
+the walk is also seeded with the perfect subgroups, of the orders it is
+after only (none when those force solvability).  They all lie in the
+perfect residual G^(oo), so the search runs inside it (on a view of its
+own when it is proper): G^(oo) itself, and the perfect residuals of
+two-generated subgroups (every perfect group within the supported order
+range is 2-generated), of which only half the generating pairs are
+closed: one per pair up to conjugacy and swapping.
 
 Deduplication keys every conjugate of every discovered subgroup, so a
 candidate is recognized in one set lookup; class sizes and normalizers fall
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ._numtheory import factorize
 from .engine import GroupView, view_of
@@ -51,16 +55,22 @@ def _order_forces_solvable(n: int) -> bool:
 def _conjugacy_orbit(conj_maps, S: frozenset):
     """The conjugates of the subgroup S (a set of element indices) under the
     group whose generators have the conjugation maps ``conj_maps``, S first,
-    and the class key: the least conjugate as a sorted tuple."""
+    and the class key: the least conjugate as a sorted tuple.  Each
+    conjugate is read off the maps by one ``itemgetter`` of S's elements,
+    which for a single element returns no tuple: the trivial subgroup is
+    its own orbit."""
+    if len(S) == 1:
+        return [S], tuple(S)
     seen = {S}
     orbit = [S]
     for T in orbit:
+        images = itemgetter(*T)
         for m in conj_maps:
-            U = frozenset(m[i] for i in T)
+            U = frozenset(images(m))
             if U not in seen:
                 seen.add(U)
                 orbit.append(U)
-    return orbit, min(tuple(sorted(T)) for T in orbit)
+    return orbit, tuple(min(map(sorted, orbit)))
 
 
 def _perfect_subgroups(view, cap: int) -> list[frozenset]:
@@ -164,7 +174,8 @@ class _Lattice:
         self.target = order_divides if order_divides else self.size
         if self.size % self.target != 0:
             raise PreconditionError("order_divides must divide |G|")
-        self.conj_maps = self.view.generator_conjugation_maps()
+        # lists, not arrays: itemgetter reads their ints without boxing
+        self.conj_maps = [m.tolist() for m in self.view.generator_conjugation_maps()]
         self.seen: dict[frozenset, int] = {}
         self.classes: list[dict] = []
         self.worklist: list[int] = []
@@ -232,29 +243,27 @@ class _Lattice:
             rec["gens"] = u_gens
             # candidate g with U <| <U, g> of prime index p: g^p lies in U,
             # so g is read off the preimages of U's elements under the p-th
-            # power map, and g normalizes U.  No g outside U has g^p and g^q
-            # in U for two primes, so each is tried at most once.
+            # power map, and g normalizes U.  One pass of the normalizer
+            # test filters them, skipping those an earlier V covers, and V
+            # is formed for the survivors only.  No g outside U has g^p and
+            # g^q in U for two primes, so each is tried at most once.
             covered = set(U)
             for p in allowed:
                 pre = preimages.get(p)
                 if pre is None:
                     pre = preimages[p] = _preimages(view.power_map(p))
                 xs, start = pre
-                for u in U:
-                    for g in xs[start[u]:start[u + 1]]:
-                        if g in covered:
-                            continue
-                        if any(x not in U for x in view.conjugates(g, u_gens)):
-                            continue
-                        new_els = set(U)
-                        coset = view.right_multiples(U, g)
+                roots = (g for u in U for g in xs[start[u]:start[u + 1]])
+                for g in view.normalizing(roots, u_gens, U, covered):
+                    new_els = set(U)
+                    coset = view.right_multiples(U, g)
+                    new_els.update(coset)
+                    for _ in range(p - 2):
+                        coset = view.right_multiples(coset, g)
                         new_els.update(coset)
-                        for _ in range(p - 2):
-                            coset = view.right_multiples(coset, g)
-                            new_els.update(coset)
-                        V = frozenset(new_els)
-                        covered |= V
-                        self.register(V)
+                    V = frozenset(new_els)
+                    covered |= V
+                    self.register(V)
 
     # -- output ------------------------------------------------------------
 
@@ -368,7 +377,7 @@ def _class_moves(G: PermGroup, n: int, classes, actions, max_order) -> list[tupl
     index_of = {c.key: i for i, c in enumerate(classes)}
     moves = [tuple(range(len(classes)))]
     for K, action in others:
-        if K.key == s_key or action.kernel.order() != 1:
+        if K.key == s_key or action.kernel_order != 1:
             continue
         rho = action.image_of_element
         s = point_map(G, action.image, PermGroup(d, [rho(h) for h in K.representative.generators]))
@@ -398,8 +407,11 @@ class ClassificationReport:
         return (self.conjugacy_classes, self.aut_orbits, self.iso_classes)
 
 
-def classify_index_n(G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER) -> ClassificationReport:
-    """Classify the index-n subgroups of G.
+def classify_index_n(
+    G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER, classes=None
+) -> ClassificationReport:
+    """Classify the index-n subgroups of G.  ``classes``, when given, must be
+    ``index_n_subgroup_classes(G, n)``, which is then not run again.
 
     Automorphism orbits are found with point maps.  Let G be transitive of
     degree d (an intransitive G is replaced by its regular action, the
@@ -424,7 +436,8 @@ def classify_index_n(G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER
     from .isomorphism import TwoBlockMaps, find_isomorphism
     from .permgroup import coset_action
 
-    classes = index_n_subgroup_classes(G, n, max_order=max_order)
+    if classes is None:
+        classes = index_n_subgroup_classes(G, n, max_order=max_order)
     k = len(classes)
     reps = [c.representative for c in classes]
     if G.is_transitive():
@@ -445,7 +458,7 @@ def classify_index_n(G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER
     for c, action in zip(classes, actions):
         idxs = frozenset(view._index[h] for h in c.representative.elements())
         profiles.append(
-            (c.order, c.class_size, view.subgroup_order_histogram(idxs), action.kernel.order())
+            (c.order, c.class_size, view.subgroup_order_histogram(idxs), action.kernel_order)
         )
 
     # orbit partition under Aut(G); isomorphism classes refine across orbits

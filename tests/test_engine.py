@@ -181,6 +181,54 @@ def test_closure_matches_mulclose(which):
             assert got == (None if len(expected) > maxsize else expected)
 
 
+def _greedy_oracle(v, subset, seed=()):
+    """greedy_generators with every closure taken from scratch by
+    oracles.mulclose."""
+    orders = v.element_orders()
+    pool = sorted(subset, key=lambda i: (-orders[i], i))
+    gens = list(seed)
+    have = _closure_oracle(v, gens)
+    for x in pool:
+        if len(have) == len(pool):
+            break
+        if x not in have:
+            gens.append(x)
+            have = _closure_oracle(v, gens)
+    return tuple(gens)
+
+
+def _bytes_and_tuple_views():
+    """A bytes view with Cayley rows, one without, and tuple views of
+    degree > 256 with and without: Sym(6) x C3 has order 2160."""
+    small, large, wide, _ = _views()
+    wide_large = view_of(PermGroup(300, [parse_perm("(0 1 2 3 4 5)", 300), parse_perm("(0 1)", 300),
+                                         parse_perm("(297 298 299)", 300)]))
+    return [small, large, wide, wide_large]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_grown_closures_match_closures_from_scratch(which):
+    """On bytes and tuple views (degree > 256), each with and without
+    Cayley rows: a closure grown by one generator at a time, and the
+    generators greedy_generators picks that way, equal closures and picks
+    made from scratch."""
+    v = _bytes_and_tuple_views()[which]
+    assert (v._rows is None, isinstance(v.elements[0], tuple)) == [
+        (False, False), (True, False), (False, True), (True, True)][which]
+    gens = list(v.generators()) + [1, v.size // 2]
+    have = v.closure([])
+    for k in range(1, len(gens) + 1):
+        have = v._grow(have, gens[:k])
+        assert have == _closure_oracle(v, gens[:k])
+    subsets = [frozenset(range(v.size))] + [
+        v.closure(seed) for seed in ([gens[0]], gens[-2:], [v.size - 1, v.size // 3])
+    ]
+    for S in subsets:
+        assert v.greedy_generators(S) == _greedy_oracle(v, S)
+        some = min(S)
+        assert v.greedy_generators(S, (some,)) == _greedy_oracle(v, S, (some,))
+
+
 def _brute_derived(elements):
     """Closure of every commutator a b a^-1 b^-1 of the given permutations."""
     comms = {compose(compose(a, b), compose(inverse(a), inverse(b)))

@@ -196,6 +196,30 @@ def test_extension_loop_matches_old_loop_on_degree_8_index_n():
         assert old and _described(index_n_subgroup_classes(G, 8)) == _described(old)
 
 
+def test_extension_loop_matches_old_loop_at_degree_55():
+    """Views without Cayley rows: the two degree-55 holomorphs (orders 2200
+    and 6050, over CAYLEY_LIMIT), and the index-55 lattices of catalogue
+    entries 52 and 53 (orders 3025 and 6050), against the old loop."""
+    from hopfgalois.pipeline import build_catalogue
+
+    for N in groups_of_order(55).groups:
+        hol = holomorph(N)
+        assert view_of(hol.group)._rows is None
+        old = _old_loop_classes(hol.group)
+        assert _described(all_subgroup_classes(hol.group)) == _described(old)
+        old_transitive = [
+            c for c in old if c.order % 55 == 0 and c.representative.is_transitive()
+        ]
+        assert _described(transitive_subgroup_classes(hol)) == _described(old_transitive)
+    entries = {e.entry_id: e.group for e in build_catalogue(55)}
+    for entry_id in (52, 53):
+        G = entries[entry_id]
+        assert view_of(G)._rows is None
+        target = G.order() // 55
+        old = [c for c in _old_loop_classes(G, target) if c.order == target]
+        assert old and _described(index_n_subgroup_classes(G, 55)) == _described(old)
+
+
 def test_classify_cyclic_regular():
     c4 = PermGroup(4, [parse_perm("(0 1 2 3)")])
     rep = classify_index_n(c4, 4)
