@@ -1,58 +1,30 @@
-"""Generator-image backtracking for isomorphisms between finite groups.
+"""Backtracking for isomorphisms between finite groups, as point maps.
 
-The search picks a short generating sequence of the source, optionally
-adapted to a designated subgroup (its generators come first and their
-images are restricted to the designated target subgroup), and extends
-candidate image tuples via a precomputed word schedule: every element of
-the partial subgroup is written once as ``gen * earlier_element`` and all
-remaining Cayley edges become consistency checks, interleaved in discovery
-order so a bad candidate dies on its first inconsistent edge.  On a
-bytes-backed target the images are carried as the target's permutations
-and each edge composes them, so the search builds no Cayley row there;
-target indices are looked up once per solution.
+One backtrack, ``_point_search``, serves every isomorphism search of the
+package.  It looks for a bijection s of points that conjugates one
+permutation group onto another, one generator image at a time, and
+extends s along each choice by s(g x) = f(g) s(x).
 
-A generator's candidate images are the target elements with its
-fingerprint, (order, conjugacy class size), in index order.  Pair tests
-between two (transitive group, Stab(0)) pairs never reach this module:
-``isomorphism.point_map`` decides them and its point map is the witness.
+``isomorphisms`` runs it on left-regular actions: an isomorphism
+phi: A -> B is exactly a point map s = phi of A's indices onto B's that
+fixes the identity and conjugates lambda(A) onto lambda(B) (Dixon and
+Mortimer, *Permutation Groups*, 1.6).  The generating sequence of A can
+be adapted to a designated subgroup (its generators come first and their
+images are restricted to the designated target subgroup).  A generator's
+candidate images are the target elements with its fingerprint, (order,
+conjugacy class size), in index order, so solutions come in lexicographic
+order of the generator images.  A target element's left-regular
+permutation is composed from the target's own permutations, so the
+search builds no Cayley row there.
+
+``isomorphism.point_map`` and ``isomorphism.TwoBlockMaps`` run the same
+backtrack on the points a transitive group acts on.
 """
 
 from __future__ import annotations
 
 from .engine import GroupView
-
-
-class _Schedule:
-    """Word schedule for one prefix ⟨g_1..g_t⟩ of the generating sequence.
-
-    ``ops`` lists (is_check, target, gen_slot, source): with is_check False
-    the element at position ``target`` equals gens[slot] * element[source]
-    and is being defined; with is_check True it was defined earlier and the
-    equality is a consistency requirement.
-    """
-
-    __slots__ = ("order", "elements", "ops")
-
-    def __init__(self, view: GroupView, gens: list[int], identity: int):
-        pos = {identity: 0}
-        elements = [identity]
-        ops = []
-        qi = 0
-        while qi < len(elements):
-            x = elements[qi]
-            qi += 1
-            for slot, g in enumerate(gens):
-                y = view.mul(g, x)
-                known = pos.get(y)
-                if known is None:
-                    pos[y] = len(elements)
-                    ops.append((False, len(elements), slot, qi - 1))
-                    elements.append(y)
-                else:
-                    ops.append((True, known, slot, qi - 1))
-        self.order = len(elements)
-        self.elements = elements
-        self.ops = ops
+from .perms import make_perm
 
 
 def _adapted_generators(view: GroupView, sub: frozenset | None):
@@ -92,6 +64,13 @@ def isomorphisms(
     ``full_map`` maps every A-index to its B-index.  With ``sub_a``/
     ``sub_b`` given, only isomorphisms carrying sub_a onto sub_b are
     produced (sub_a must be a subgroup of A, sub_b of B).
+
+    The map is a point map s of A's indices onto B's with s(0) = 0: the
+    identity permutation sorts first, so the identity is index 0 on every
+    view, and lambda(b) sends it to b.  So the pool of a generator's image
+    is {b: [b]} over its candidates b, and the left-regular permutation of
+    b is composed once per search.  Without ``first_only`` the search runs
+    to its end before the first map is yielded.
     """
     if A.size != B.size:
         return
@@ -103,71 +82,35 @@ def isomorphisms(
         yield [], [], {A.identity: B.identity}
         return
     gens, cut = _adapted_generators(A, sub_a)
-    schedules = [_Schedule(A, gens[: t + 1], A.identity) for t in range(len(gens))]
     pools = _candidate_pools(A, B, gens, cut, sub_b)
     if any(not p for p in pools):
         return
-    depth = len(gens)
-    bmul = B.mul
-    # Bytes-backed targets carry images as B's permutations, and a product
-    # g * x is x translated by g's padded table: no Cayley row is built.
-    pads = B._pads
-    if pads is None:
-        values = index = range(B.size)
-    else:
-        values, index = B.elements, B._index
+    points = range(A.size)
+    rows = {}
 
-    # images of each schedule's elements, stacked per depth
-    img_stack: list[list] = []
-    gen_imgs: list[int] = []
-    gen_vals: list = []
+    def image(j):
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = B.left_multiples(j, points)
+        return row
 
-    def extend(t):
-        sched = schedules[t]
-        prev_imgs = img_stack[t - 1] if t else [values[B.identity]]
-        prev_elements = schedules[t - 1].elements if t else [A.identity]
-        carry = {x: prev_imgs[i] for i, x in enumerate(prev_elements)}
-        base = [carry.get(x) for x in sched.elements]
-        for cand in pools[t]:
-            img = list(base)
-            gen_imgs.append(cand)
-            gen_vals.append(cand if pads is None else pads[cand])
-            ok = True
-            for is_check, target, slot, source in sched.ops:
-                if pads is None:
-                    value = bmul(gen_vals[slot], img[source])
-                else:
-                    value = img[source].translate(gen_vals[slot])
-                if is_check:
-                    if img[target] != value:
-                        ok = False
-                        break
-                elif img[target] is None:
-                    img[target] = value
-                elif img[target] != value:
-                    ok = False
-                    break
-            if ok and len(set(img)) == sched.order:
-                img_stack.append(img)
-                if t + 1 == depth:
-                    yield list(gens), list(gen_imgs), {
-                        x: index[img[i]] for i, x in enumerate(sched.elements)
-                    }
-                else:
-                    yield from extend(t + 1)
-                img_stack.pop()
-            gen_vals.pop()
-            gen_imgs.pop()
+    found = []
 
-    try:
-        for result in extend(0):
-            yield result
-            if first_only:
-                return
-    finally:
-        # extend refers to itself; dropping it frees the search's schedules
-        # and image lists now instead of at the next cyclic collection
-        del extend
+    def accept(s):
+        found.append(s)
+        return s if first_only else None
+
+    _point_search(
+        [A.left_multiples(g, points) for g in gens],
+        range(len(gens)),
+        [{j: [j] for j in pool} for pool in pools],
+        pools[0],
+        image,
+        [0] + [-1] * (A.size - 1),
+        accept,
+    )
+    for s in found:
+        yield list(gens), [s[g] for g in gens], dict(enumerate(s))
 
 
 def automorphisms(view: GroupView, *, sub: frozenset | None = None):
@@ -178,3 +121,86 @@ def automorphisms(view: GroupView, *, sub: frozenset | None = None):
             view, view, sub_a=sub, sub_b=sub, first_only=False
         )
     ]
+
+
+def _point_search(seq, keys, pools, first, image, sigma, accept):
+    """The backtrack behind ``isomorphisms``, ``point_map`` and
+    ``TwoBlockMaps``: a bijection s of the points that extends ``sigma``
+    (the partial map, -1 where open; its images are fixed) and conjugates
+    each g of ``seq`` to a chosen f(g), through s(g x) = f(g) s(x); ``seq``
+    moves the points sigma fixes onto every point.
+
+    f(seq[0]) runs over ``first``; f(g) for a later g over ``pools[key]``
+    (key -> image of point 0 -> entries) for g's key in ``keys``, and only
+    over the entries that send s(0) to s(g 0) once that is known.  Entries
+    become permutations by ``image``.  After each choice s is extended by
+    breadth-first search from the fixed points, and the choice is dropped
+    once s is not well defined or not injective.  A total s is passed to
+    ``accept``, whose result is returned unless it is None."""
+    npts = len(sigma)
+    hit = bytearray(npts)
+    orbit = [x for x, v in enumerate(sigma) if v >= 0]
+    for x in orbit:
+        hit[sigma[x]] = 1
+
+    def search(pairs, sigma, hit, orbit):
+        t = len(pairs)
+        if len(orbit) == npts:
+            return accept(make_perm(sigma))
+        g = seq[t]
+        if t == 0:
+            cands = first
+        else:
+            pool = pools[keys[t]]
+            if sigma[g[0]] >= 0:
+                # f(g) sends s(0) to s(g 0)
+                cands = pool.get(sigma[g[0]], ())
+            else:
+                cands = [c for v, group in pool.items() if not hit[v] for c in group]
+        for c in cands:
+            chosen = pairs + [(g, image(c))]
+            state = _extend_point_map(chosen, sigma, hit, orbit)
+            if state is not None:
+                s = search(chosen, *state)
+                if s is not None:
+                    return s
+        return None
+
+    try:
+        return search([], sigma, hit, orbit)
+    finally:
+        search = None  # break the cycle through its own closure cell
+
+
+def _extend_point_map(pairs, sigma, hit, orbit):
+    """The point map extended along the last (g, f(g)) of ``pairs`` from the
+    points it covers, and along every pair from the points that adds; None
+    once a point gets two images or two points one.  The two walks take
+    turns, so a relation between the last pair and the others is checked
+    after a few points: on a left-regular action the points covered before
+    are a whole subgroup, which the last pair alone maps onto a new coset
+    without a single check."""
+    sigma, hit, orbit = sigma[:], hit[:], orbit[:]
+    old = len(orbit)
+    last = pairs[-1:]
+    i, j = 0, old  # the next point covered before, the next point added
+    while i < old or j < len(orbit):
+        if j < len(orbit) and (i == old or j - old < i):
+            x, batch = orbit[j], pairs
+            j += 1
+        else:
+            x, batch = orbit[i], last
+            i += 1
+        sx = sigma[x]
+        for g, m in batch:
+            y, v = g[x], m[sx]
+            s = sigma[y]
+            if s < 0:
+                if hit[v]:
+                    return None
+                sigma[y] = v
+                hit[v] = 1
+                orbit.append(y)
+            elif s != v:
+                return None
+    return sigma, hit, orbit

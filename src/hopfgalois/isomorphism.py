@@ -1,20 +1,25 @@
 """Abstract isomorphism and designated-subgroup ("pair") isomorphism tests.
 
 A pair (G, G') is isomorphic to (M, M') when some abstract isomorphism
-G -> M carries G' onto M'.  The search adapts the generating sequence to
-the designated subgroup, so the constraint prunes instead of multiplying
-work; every returned witness is re-verified by replay.
+G -> M carries G' onto M'.  Every test runs the point-map backtrack of
+``homsearch``.
 
 When both pairs are (transitive group, stabilizer of point 0) on one
 degree, every pair isomorphism is conjugation by a bijection of the points
 fixing 0 (the two actions are equivalent to the actions on the cosets of
 the stabilizers).  Such pairs are decided by searching for that bijection
-(``point_map``), and the bijection s is the witness: g -> s g s^-1, listed
-on the target's generators.  They build no Cayley view and run no
-generator-image search, so no order bound applies to them.  The same
-backtrack decides which subgroups of one transitive group an automorphism
-keeping Stab(0)'s class carries into which classes, on the group's points
-and one subgroup's cosets side by side (``TwoBlockMaps``).
+on the points (``point_map``), and the bijection s is the witness:
+g -> s g s^-1, listed on the target's generators.  They build no Cayley
+view, so no order bound applies to them.  The same backtrack decides
+which subgroups of one transitive group an automorphism keeping Stab(0)'s
+class carries into which classes, on the group's points and one
+subgroup's cosets side by side (``TwoBlockMaps``).
+
+Every other test (``find_isomorphism``, and pairs of another shape) views
+both groups, held to an order bound, and searches the left-regular
+actions (``homsearch.isomorphisms``), with the generating sequence
+adapted to the designated subgroup, so the constraint prunes instead of
+multiplying work; its witness is re-verified by replay.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from .engine import view_of
 from .errors import PreconditionError, ResourceLimitError
-from .homsearch import isomorphisms
+from .homsearch import _point_search, isomorphisms
 from .permgroup import PermGroup, coset_action
 from .perms import compose, cycle_length_at, cycle_type, inverse, make_perm, orbit_of
 
@@ -140,77 +145,6 @@ def _covering_sequence(first, gens, start, weight) -> list:
     while len(orbit_of(seq, start)) < npts:
         seq.append(max(gens, key=lambda g: (len(orbit_of(seq + [g], start)), -weight(g))))
     return seq
-
-
-def _point_search(seq, keys, pools, first, image, sigma, accept):
-    """The backtrack behind ``point_map`` and ``TwoBlockMaps``: a bijection
-    s of the points that extends ``sigma`` (the partial map, -1 where
-    open; its images are fixed) and conjugates each g of ``seq`` to a chosen
-    f(g), through s(g x) = f(g) s(x); ``seq`` moves the points sigma fixes
-    onto every point.
-
-    f(seq[0]) runs over ``first``; f(g) for a later g over ``pools[key]``
-    (key -> image of point 0 -> entries) for g's key in ``keys``, and only
-    over the entries that send s(0) to s(g 0) once that is known.  Entries
-    become permutations by ``image``.  After each choice s is extended by
-    breadth-first search from the fixed points, and the choice is dropped
-    once s is not well defined or not injective.  A total s is passed to
-    ``accept``, whose result is returned unless it is None."""
-    npts = len(sigma)
-    hit = bytearray(npts)
-    orbit = [x for x, v in enumerate(sigma) if v >= 0]
-    for x in orbit:
-        hit[sigma[x]] = 1
-
-    def search(pairs, sigma, hit, orbit):
-        t = len(pairs)
-        if len(orbit) == npts:
-            return accept(make_perm(sigma))
-        g = seq[t]
-        if t == 0:
-            cands = first
-        else:
-            pool = pools[keys[t]]
-            if sigma[g[0]] >= 0:
-                # f(g) sends s(0) to s(g 0)
-                cands = pool.get(sigma[g[0]], ())
-            else:
-                cands = [c for v, group in pool.items() if not hit[v] for c in group]
-        for c in cands:
-            chosen = pairs + [(g, image(c))]
-            state = _extend_point_map(chosen, sigma, hit, orbit)
-            if state is not None:
-                s = search(chosen, *state)
-                if s is not None:
-                    return s
-        return None
-
-    try:
-        return search([], sigma, hit, orbit)
-    finally:
-        search = None  # break the cycle through its own closure cell
-
-
-def _extend_point_map(pairs, sigma, hit, orbit):
-    """The point map extended along the last (g, f(g)) of ``pairs`` from the
-    points it covers, and along every pair from the points that adds; None
-    once a point gets two images or two points one."""
-    sigma, hit, orbit = sigma[:], hit[:], orbit[:]
-    old = len(orbit)
-    for pos, x in enumerate(orbit):
-        sx = sigma[x]
-        for g, m in pairs[-1:] if pos < old else pairs:
-            y, v = g[x], m[sx]
-            s = sigma[y]
-            if s < 0:
-                if hit[v]:
-                    return None
-                sigma[y] = v
-                hit[v] = 1
-                orbit.append(y)
-            elif s != v:
-                return None
-    return sigma, hit, orbit
 
 
 class TwoBlockMaps:
@@ -390,8 +324,8 @@ def pair_isomorphic(
     decided by ``point_map``.  A point map s certifies the witness: the map
     g -> s g s^-1 fixes 0, so carries G_sub onto M_sub, and maps G into M,
     onto as |G| = |M|.  It is given as (s^-1 m s, m) for M's generators m,
-    with no view bound, search or replay.  Every other pair shape goes
-    through the generator-image search, held to ``max_order``."""
+    with no view bound or replay.  Every other pair shape goes through
+    the search on the left-regular actions, held to ``max_order``."""
     if G.order() != M.order() or G_sub.order() != M_sub.order():
         return None
     if _point_stabilizer_pairs(G, G_sub, M, M_sub):

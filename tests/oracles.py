@@ -439,12 +439,47 @@ def extension_run(lat):
             self.register(V)
 
 
-# -- the witness search before it carried images as permutations ------------
+# -- the generator-image search before isomorphisms ran as point maps --------
 #
 # Like same_order_scan, this runs the package's engine: it is
-# homsearch.isomorphisms before extend composed the target's permutations,
-# kept as its reference.  Every product goes through the target view's mul,
-# so it reads (and builds) the target's Cayley rows.
+# homsearch.isomorphisms as a generator-image search over a word schedule,
+# before it became a point map of the left-regular actions, kept as its
+# reference (with the package's generating sequence and candidate pools, so
+# both yield the same sequence).  Every product goes through the target
+# view's mul, so it reads (and builds) the target's Cayley rows.
+
+
+class _Schedule:
+    """Word schedule for one prefix <g_1..g_t> of the generating sequence.
+
+    ``ops`` lists (is_check, target, gen_slot, source): with is_check False
+    the element at position ``target`` equals gens[slot] * element[source]
+    and is being defined; with is_check True it was defined earlier and the
+    equality is a consistency requirement.
+    """
+
+    __slots__ = ("order", "elements", "ops")
+
+    def __init__(self, view, gens, identity):
+        pos = {identity: 0}
+        elements = [identity]
+        ops = []
+        qi = 0
+        while qi < len(elements):
+            x = elements[qi]
+            qi += 1
+            for slot, g in enumerate(gens):
+                y = view.mul(g, x)
+                known = pos.get(y)
+                if known is None:
+                    pos[y] = len(elements)
+                    ops.append((False, len(elements), slot, qi - 1))
+                    elements.append(y)
+                else:
+                    ops.append((True, known, slot, qi - 1))
+        self.order = len(elements)
+        self.elements = elements
+        self.ops = ops
 
 
 def row_isomorphisms(
@@ -461,7 +496,7 @@ def row_isomorphisms(
     ``by_cycle_type`` (views of one degree) keeps only the candidate images
     of each generator's cycle type, as the search did when it produced the
     witness of two point-stabilizer pairs."""
-    from hopfgalois.homsearch import _adapted_generators, _candidate_pools, _Schedule
+    from hopfgalois.homsearch import _adapted_generators, _candidate_pools
 
     if A.size != B.size:
         return

@@ -1,7 +1,9 @@
 import pytest
 
+from hopfgalois._numtheory import divisors
 from hopfgalois.errors import PreconditionError, UnsupportedOrderError
 from hopfgalois.groups import (
+    SUPPORTED_SPECIAL,
     cyclic,
     dicyclic,
     direct_product,
@@ -12,10 +14,10 @@ from hopfgalois.groups import (
     squarefree_groups,
     trivial_group,
 )
-from hopfgalois.homsearch import isomorphisms
+from hopfgalois.homsearch import automorphisms, isomorphisms
 from hopfgalois.perms import make_perm
 
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, row_isomorphisms
 
 
 KNOWN = {1: 1, 4: 2, 8: 5, 12: 5, 15: 1, 16: 14, 18: 5, 20: 5, 21: 2, 24: 15, 27: 5}
@@ -52,6 +54,24 @@ def test_catalogue_pairwise_non_isomorphic():
                 assert (
                     next(isomorphisms(groups[i].view(), groups[j].view()), None) is None
                 )
+
+
+# The orders m of the groups A that _special_candidates extends by a cyclic
+# group: the proper divisors of the supported non-squarefree orders.
+EXTENDED_ORDERS = sorted(
+    {m for n in SUPPORTED_SPECIAL if not is_squarefree(n) for m in divisors(n) if 1 < m < n}
+)
+
+
+@pytest.mark.parametrize("m", EXTENDED_ORDERS)
+def test_automorphisms_equal_row_oracle_on_extended_groups(m):
+    """Aut(A) comes in the generator-image search's order, item for item,
+    for every group A that _special_candidates extends: that order decides
+    which candidate table _dedup_by_isomorphism keeps."""
+    for A in groups_of_order(m).groups:
+        v = A.view()
+        expected = [full for _, _, full in row_isomorphisms(v, v, first_only=False)]
+        assert automorphisms(v) == expected
 
 
 @pytest.mark.parametrize("n", [*range(1, 17), 18, 20, 21, 24, 27, 55])

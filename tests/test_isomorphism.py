@@ -327,8 +327,8 @@ def _regenerated(J):
 def test_point_map_witness_depends_on_the_element_set_alone(n, monkeypatch):
     """A quotient pair rebuilt on another generating list of J's element set
     gets the witness J gets against each catalogue entry it matches, with
-    no generator-image search: the shared match table keys matches by the
-    element set."""
+    no search on the left-regular actions: the shared match table keys
+    matches by the element set."""
     import hopfgalois.isomorphism as iso
     from hopfgalois.pipeline import build_catalogue
     from hopfgalois.subgroups import index_n_subgroup_classes
@@ -409,10 +409,15 @@ def _search_args(G, G_sub, M, M_sub):
     return va, vb, subs
 
 
-@pytest.mark.parametrize("n", [8, 12])
-def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, monkeypatch):
+@pytest.mark.parametrize("n,first_only", [
+    pytest.param(8, True, id="8"),
+    pytest.param(12, True, id="12"),
+    pytest.param(8, False, id="8-all"),
+])
+def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, first_only, monkeypatch):
     """Every pair test analyze_parallel makes, put to the search although
-    the point map now decides it."""
+    the point map now decides it: the first witness, or (at degree 8) every
+    pair isomorphism, which runs the subgroup-adapted search to the end."""
     from hopfgalois import pipeline
 
     catalogue = pipeline.build_catalogue(n)
@@ -422,7 +427,7 @@ def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, monkeypatch):
     assert calls
     for call in calls:
         va, vb, subs = _search_args(*call)
-        _same_results(va, vb, **subs)
+        _same_results(va, vb, first_only=first_only, **subs)
 
 
 def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
@@ -445,7 +450,7 @@ def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
 def test_witness_search_and_replay_build_no_row_on_the_target(monkeypatch):
     """Each match analyze_parallel finds at degree 12, found again against a
     freshly built view of the catalogue pair: same witness, and the point
-    map builds no Cayley row of the target; nor do the generator-image
+    map builds no Cayley row of the target; nor do the left-regular
     search and its replay on their own."""
     from hopfgalois import pipeline
     from hopfgalois.homsearch import isomorphisms

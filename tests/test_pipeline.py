@@ -423,7 +423,7 @@ def test_degree_run_pair_tests_each_quotient_once(monkeypatch):
 
 def test_hgs_types_admitted_searches_no_witness(monkeypatch):
     """On (transitive group, Stab(0)) inputs the point map alone decides
-    each candidate: no generator-image search runs, and the types are those
+    each candidate: no left-regular search runs, and the types are those
     that pair_isomorphic's witnesses give."""
     import hopfgalois.isomorphism as iso
 
@@ -449,7 +449,7 @@ def test_hgs_types_admitted_searches_no_witness(monkeypatch):
 
 def test_degree_rows_need_no_generator_image_search(monkeypatch):
     """Every match at degrees 8 and 12 is certified by its point map: the
-    rows come out the same with the generator-image search disabled."""
+    rows come out the same with the left-regular search disabled."""
     import hopfgalois.isomorphism as iso
     from hopfgalois.pipeline import analyze_degree, degree_summary
 

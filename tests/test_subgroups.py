@@ -273,7 +273,7 @@ def test_classify_index_n_equals_pairwise_oracle_at_pq(degree, skip):
 
 
 def test_classify_index_n_makes_no_pair_test_of_g_against_itself(monkeypatch):
-    """At degree 21, no pair_isomorphic call and no generator-image search
+    """At degree 21, no pair_isomorphic call and no left-regular search
     with G on either side."""
     import hopfgalois.homsearch as homsearch
     import hopfgalois.isomorphism as iso

@@ -54,3 +54,28 @@ def test_catalogue_entries_are_pinned(n):
 
     payload = json.dumps([e.to_json() for e in build_catalogue(n)], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == CATALOGUE_DIGESTS[n]
+
+
+# SHA-256 of json.dumps(groups_of_order(n).to_json(), sort_keys=True):
+# labels, tags and multiplication tables of one group per isomorphism class.
+GROUP_DIGESTS = {
+    8: "e3fb4cbd296e5a812dde4de4a7fded9b3bf1a7b95ea0ccc3a1c0383cd84055bd",
+    12: "8c969aa332e37ddf362cc3e0e734ef7bf405600dea63b4ab7dad467311dfe039",
+    16: "88540d284d36fdbdfbed906b2a9e87590a029aef6b54959329878ed05420d51a",
+    18: "98b4b31412cc95c9c02abe97be7bcb107389b3654a7d4fabf1d9c8a74dd7d05f",
+    20: "17bd07a62a00e7e6648a8562333562b33bc420e5045f82b0bc58443f8974eb72",
+    24: "9c648a51534c3d6e1fcc605cf1576e5c08881022b3b68f71a07abf0ac8b4f030",
+    27: "bdd510f152ec1da976ad2d0bba5649e4dcd1ace3a00d7d17de21c9696799fe59",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GROUP_DIGESTS))
+def test_group_catalogues_are_pinned(n):
+    """The abstract groups of each non-squarefree order are byte for byte
+    the pinned ones.  Deduplication keeps the first candidate of each
+    class, and the candidates come in the order Aut(A) is enumerated, so a
+    change of that order changes which table is kept and fails here."""
+    from hopfgalois.groups import groups_of_order
+
+    payload = json.dumps(groups_of_order(n).to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GROUP_DIGESTS[n]
