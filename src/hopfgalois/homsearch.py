@@ -1,9 +1,12 @@
 """Backtracking for isomorphisms between finite groups, as point maps.
 
 One backtrack, ``_point_search``, serves every isomorphism search of the
-package.  It looks for a bijection s of points that conjugates one
-permutation group onto another, one generator image at a time, and
-extends s along each choice by s(g x) = f(g) s(x).
+package.  It is a generator: it yields the bijections s of points that
+conjugate one permutation group onto another, in search order and only
+as far as the caller reads.  It chooses one generator image at a time
+and extends s along each choice by s(g x) = f(g) s(x).  Callers that
+need more than conjugation of the sequence it is given filter what it
+yields.
 
 ``isomorphisms`` runs it on left-regular actions: an isomorphism
 phi: A -> B is exactly a point map s = phi of A's indices onto B's that
@@ -57,9 +60,9 @@ def isomorphisms(
     *,
     sub_a: frozenset | None = None,
     sub_b: frozenset | None = None,
-    first_only: bool = True,
 ):
-    """Yield isomorphisms A -> B as ``(gens, gen_images, full_map)``.
+    """Yield isomorphisms A -> B as ``(gens, gen_images, full_map)``, each
+    as the search finds it.
 
     ``full_map`` maps every A-index to its B-index.  With ``sub_a``/
     ``sub_b`` given, only isomorphisms carrying sub_a onto sub_b are
@@ -69,8 +72,7 @@ def isomorphisms(
     identity permutation sorts first, so the identity is index 0 on every
     view, and lambda(b) sends it to b.  So the pool of a generator's image
     is {b: [b]} over its candidates b, and the left-regular permutation of
-    b is composed once per search.  Without ``first_only`` the search runs
-    to its end before the first map is yielded.
+    b is composed once per search.
     """
     if A.size != B.size:
         return
@@ -94,49 +96,37 @@ def isomorphisms(
             row = rows[j] = B.left_multiples(j, points)
         return row
 
-    found = []
-
-    def accept(s):
-        found.append(s)
-        return s if first_only else None
-
-    _point_search(
+    for s in _point_search(
         [A.left_multiples(g, points) for g in gens],
         range(len(gens)),
         [{j: [j] for j in pool} for pool in pools],
         pools[0],
         image,
         [0] + [-1] * (A.size - 1),
-        accept,
-    )
-    for s in found:
+    ):
         yield list(gens), [s[g] for g in gens], dict(enumerate(s))
 
 
 def automorphisms(view: GroupView, *, sub: frozenset | None = None):
     """All automorphisms (optionally stabilizing ``sub`` setwise) as full maps."""
-    return [
-        full
-        for _, _, full in isomorphisms(
-            view, view, sub_a=sub, sub_b=sub, first_only=False
-        )
-    ]
+    return [full for _, _, full in isomorphisms(view, view, sub_a=sub, sub_b=sub)]
 
 
-def _point_search(seq, keys, pools, first, image, sigma, accept):
+def _point_search(seq, keys, pools, first, image, sigma):
     """The backtrack behind ``isomorphisms``, ``point_map`` and
-    ``TwoBlockMaps``: a bijection s of the points that extends ``sigma``
-    (the partial map, -1 where open; its images are fixed) and conjugates
-    each g of ``seq`` to a chosen f(g), through s(g x) = f(g) s(x); ``seq``
-    moves the points sigma fixes onto every point.
+    ``TwoBlockMaps``: yield, in search order, every bijection s of the
+    points that extends ``sigma`` (the partial map, -1 where open; its
+    images are fixed) and conjugates each g of ``seq`` to a chosen f(g),
+    through s(g x) = f(g) s(x); ``seq`` moves the points sigma fixes onto
+    every point.
 
     f(seq[0]) runs over ``first``; f(g) for a later g over ``pools[key]``
     (key -> image of point 0 -> entries) for g's key in ``keys``, and only
     over the entries that send s(0) to s(g 0) once that is known.  Entries
     become permutations by ``image``.  After each choice s is extended by
     breadth-first search from the fixed points, and the choice is dropped
-    once s is not well defined or not injective.  A total s is passed to
-    ``accept``, whose result is returned unless it is None."""
+    once s is not well defined or not injective.  The search goes no
+    further than the caller reads."""
     npts = len(sigma)
     hit = bytearray(npts)
     orbit = [x for x, v in enumerate(sigma) if v >= 0]
@@ -146,7 +136,8 @@ def _point_search(seq, keys, pools, first, image, sigma, accept):
     def search(pairs, sigma, hit, orbit):
         t = len(pairs)
         if len(orbit) == npts:
-            return accept(make_perm(sigma))
+            yield make_perm(sigma)
+            return
         g = seq[t]
         if t == 0:
             cands = first
@@ -161,13 +152,10 @@ def _point_search(seq, keys, pools, first, image, sigma, accept):
             chosen = pairs + [(g, image(c))]
             state = _extend_point_map(chosen, sigma, hit, orbit)
             if state is not None:
-                s = search(chosen, *state)
-                if s is not None:
-                    return s
-        return None
+                yield from search(chosen, *state)
 
     try:
-        return search([], sigma, hit, orbit)
+        yield from search([], sigma, hit, orbit)
     finally:
         search = None  # break the cycle through its own closure cell
 

@@ -15,11 +15,13 @@ which subgroups of one transitive group an automorphism keeping Stab(0)'s
 class carries into which classes, on the group's points and one
 subgroup's cosets side by side (``TwoBlockMaps``).
 
-Every other test (``find_isomorphism``, and pairs of another shape) views
-both groups, held to an order bound, and searches the left-regular
-actions (``homsearch.isomorphisms``), with the generating sequence
-adapted to the designated subgroup, so the constraint prunes instead of
-multiplying work; its witness is re-verified by replay.
+Every other test (``find_isomorphism``, and pairs of another shape) takes
+one route, ``_regular_search``: it views both groups, held to an order
+bound, and searches the left-regular actions (``homsearch.isomorphisms``),
+with the generating sequence adapted to the designated subgroup, if any,
+so the constraint prunes instead of multiplying work; the map it finds
+is re-verified by replay.  ``is_pair_isomorphic`` is the verdict of
+``pair_isomorphic``.
 """
 
 from __future__ import annotations
@@ -114,16 +116,13 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
     )
     first = vm.point_pool_reps(first_key, [vm._index[h] for h in M_sub.generators])
 
-    def accept(s):
+    def conjugates(s):
         s_inv = inverse(s)
-        if all(compose(s, compose(g, s_inv)) in vm._index for g in G.generators):
-            return s
-        return None
+        return all(compose(s, compose(g, s_inv)) in vm._index for g in G.generators)
 
     sigma = [0] + [-1] * (G.degree - 1)
-    return _point_search(
-        seq, [key(g) for g in seq], pools, first, vm.elements.__getitem__, sigma, accept
-    )
+    maps = _point_search(seq, [key(g) for g in seq], pools, first, vm.elements.__getitem__, sigma)
+    return next(filter(conjugates, maps), None)
 
 
 def _pool_sizes(pools) -> dict:
@@ -249,31 +248,25 @@ class TwoBlockMaps:
         def image(x):
             return self._joined(j, x)
 
-        def accept(s):
+        def conjugates(s):
             s_inv = inverse(s)
             for x in self.gens:
                 m = compose(s, compose(self._joined(i, x), s_inv))
                 y = view._index.get(make_perm(m[:d]))
                 if y is None or self._joined(j, y) != m:
-                    return None
-            return s
+                    return False
+            return True
 
         keys = [key_of[g] for g in seq]
         npts = len(seq[0])
         for c in range(d, npts):
             sigma = [-1] * npts
             sigma[0], sigma[d] = 0, c
-            s = _point_search(seq, keys, target, first, image, sigma, accept)
+            maps = _point_search(seq, keys, target, first, image, sigma)
+            s = next(filter(conjugates, maps), None)
             if s is not None:
                 return s
         return None
-
-
-def _witness_from(va, vb, gens, images) -> PairWitness:
-    mapping = tuple(
-        (va.elements[g], vb.elements[h]) for g, h in zip(gens, images)
-    )
-    return PairWitness(mapping, True)
 
 
 def _replay_verifies(va, vb, full_map, sub_a=None, sub_b=None) -> bool:
@@ -294,20 +287,35 @@ def _replay_verifies(va, vb, full_map, sub_a=None, sub_b=None) -> bool:
     return True
 
 
+def _regular_search(G, G_sub, M, M_sub, max_order) -> PairWitness | None:
+    """A witness of an isomorphism G -> M carrying G_sub onto M_sub (with
+    no subgroup condition when both are None), from the search on the
+    left-regular actions of both groups' views, held to ``max_order``.  The
+    map found is replayed before the witness is built."""
+    if G.order() != M.order():
+        return None
+    va, vb = _bounded_views(G, M, max_order)
+    sub_a = sub_b = None
+    if G_sub is not None:
+        sub_a, sub_b = _subgroup_indices(va, G_sub), _subgroup_indices(vb, M_sub)
+    if va.invariant_vector() != vb.invariant_vector() or (
+        sub_a is not None
+        and va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b)
+    ):
+        return None
+    for gens, images, full in isomorphisms(va, vb, sub_a=sub_a, sub_b=sub_b):
+        if not _replay_verifies(va, vb, full, sub_a, sub_b):
+            raise PreconditionError("isomorphism replay failed")
+        mapping = tuple((va.elements[g], vb.elements[h]) for g, h in zip(gens, images))
+        return PairWitness(mapping, True)
+    return None
+
+
 def find_isomorphism(
     G: PermGroup, M: PermGroup, *, max_order: int = DEFAULT_ISO_BOUND
 ) -> PairWitness | None:
     """A verified isomorphism G -> M, or None when none exists."""
-    if G.order() != M.order():
-        return None
-    va, vb = _bounded_views(G, M, max_order)
-    if va.invariant_vector() != vb.invariant_vector():
-        return None
-    for gens, images, full in isomorphisms(va, vb, first_only=True):
-        if not _replay_verifies(va, vb, full):
-            raise PreconditionError("isomorphism replay failed")
-        return _witness_from(va, vb, gens, images)
-    return None
+    return _regular_search(G, None, M, None, max_order)
 
 
 def pair_isomorphic(
@@ -325,36 +333,21 @@ def pair_isomorphic(
     g -> s g s^-1 fixes 0, so carries G_sub onto M_sub, and maps G into M,
     onto as |G| = |M|.  It is given as (s^-1 m s, m) for M's generators m,
     with no view bound or replay.  Every other pair shape goes through
-    the search on the left-regular actions, held to ``max_order``."""
+    the search on the left-regular actions, held to ``max_order``, as
+    ``find_isomorphism`` does."""
     if G.order() != M.order() or G_sub.order() != M_sub.order():
         return None
-    if _point_stabilizer_pairs(G, G_sub, M, M_sub):
+    if (
+        G.degree == M.degree
+        and is_point_stabilizer_pair(G, G_sub)
+        and is_point_stabilizer_pair(M, M_sub)
+    ):
         s = point_map(G, M, M_sub)
         if s is None:
             return None
         s_inv = inverse(s)
         return PairWitness(tuple((compose(s_inv, compose(m, s)), m) for m in M.generators), True)
-    va, vb = _bounded_views(G, M, max_order)
-    sub_a = _subgroup_indices(va, G_sub)
-    sub_b = _subgroup_indices(vb, M_sub)
-    if (
-        va.invariant_vector() != vb.invariant_vector()
-        or va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b)
-    ):
-        return None
-    for gens, images, full in isomorphisms(va, vb, sub_a=sub_a, sub_b=sub_b, first_only=True):
-        if not _replay_verifies(va, vb, full, sub_a, sub_b):
-            raise PreconditionError("pair isomorphism replay failed")
-        return _witness_from(va, vb, gens, images)
-    return None
-
-
-def _point_stabilizer_pairs(G, G_sub, M, M_sub) -> bool:
-    return (
-        G.degree == M.degree
-        and is_point_stabilizer_pair(G, G_sub)
-        and is_point_stabilizer_pair(M, M_sub)
-    )
+    return _regular_search(G, G_sub, M, M_sub, max_order)
 
 
 def is_pair_isomorphic(
@@ -364,15 +357,8 @@ def is_pair_isomorphic(
     M_sub: PermGroup,
 ) -> bool:
     """Whether ``pair_isomorphic`` finds a witness, for callers that read
-    only the verdict.
-
-    For two (transitive group, Stab(0)) pairs of one degree and order the
-    point map's existence is the verdict, so no witness is built; every
-    other pair shape goes through ``pair_isomorphic``."""
-    if G.order() != M.order() or G_sub.order() != M_sub.order():
-        return False
-    if _point_stabilizer_pairs(G, G_sub, M, M_sub):
-        return point_map(G, M, M_sub) is not None
+    only the verdict.  On two (transitive group, Stab(0)) pairs the witness
+    costs two compositions per generator of M beyond the point map."""
     return pair_isomorphic(G, G_sub, M, M_sub) is not None
 
 

@@ -10,7 +10,7 @@ from hopfgalois.isomorphism import (
     point_map,
 )
 from hopfgalois.engine import view_of
-from hopfgalois.errors import ResourceLimitError
+from hopfgalois.errors import PreconditionError, ResourceLimitError
 from hopfgalois.permgroup import PermGroup
 from hopfgalois.perms import compose, inverse, make_perm, parse_perm
 
@@ -309,6 +309,8 @@ def test_point_map_no_is_decided_below_the_view_bound():
     assert not is_point_stabilizer_pair(G, trivial)
     with pytest.raises(ResourceLimitError):
         pair_isomorphic(G, trivial, G, trivial, max_order=8)
+    with pytest.raises(ResourceLimitError):
+        find_isomorphism(G, G, max_order=8)
 
 
 def _regenerated(J):
@@ -360,17 +362,19 @@ def test_point_map_witness_depends_on_the_element_set_alone(n, monkeypatch):
 # -- the witness search against its Cayley-row oracle ------------------------
 
 
-def _same_results(A, B, limit=None, **kwargs):
+def _same_results(A, B, limit=1, **kwargs):
     """The package's search and oracles.row_isomorphisms yield the same
-    (gens, images, full_map) sequence (its first ``limit`` items if given).
-    The package runs first, so the oracle's rows cannot serve it."""
+    (gens, images, full_map) sequence: its first ``limit`` items, or all of
+    it when ``limit`` is None.  The package runs first, so the oracle's
+    rows cannot serve it."""
     from itertools import islice
 
     from hopfgalois.homsearch import isomorphisms
     from oracles import row_isomorphisms
 
     got = list(islice(isomorphisms(A, B, **kwargs), limit))
-    assert got == list(islice(row_isomorphisms(A, B, **kwargs), limit))
+    expected = row_isomorphisms(A, B, first_only=limit == 1, **kwargs)
+    assert got == list(islice(expected, limit))
     return got
 
 
@@ -384,7 +388,7 @@ def test_isomorphisms_equal_row_oracle_on_holomorphs(n):
     for N in groups_of_order(n).groups:
         G = holomorph(N).group
         B = view_of(PermGroup(G.degree, G.generators))
-        assert _same_results(view_of(G), B, limit=100, first_only=False)
+        assert _same_results(view_of(G), B, limit=100)
 
 
 def _recorded_pair_tests(monkeypatch, module, run):
@@ -409,12 +413,12 @@ def _search_args(G, G_sub, M, M_sub):
     return va, vb, subs
 
 
-@pytest.mark.parametrize("n,first_only", [
-    pytest.param(8, True, id="8"),
-    pytest.param(12, True, id="12"),
-    pytest.param(8, False, id="8-all"),
+@pytest.mark.parametrize("n,limit", [
+    pytest.param(8, 1, id="8"),
+    pytest.param(12, 1, id="12"),
+    pytest.param(8, None, id="8-all"),
 ])
-def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, first_only, monkeypatch):
+def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, limit, monkeypatch):
     """Every pair test analyze_parallel makes, put to the search although
     the point map now decides it: the first witness, or (at degree 8) every
     pair isomorphism, which runs the subgroup-adapted search to the end."""
@@ -427,7 +431,7 @@ def test_isomorphisms_equal_row_oracle_in_analyze_parallel(n, first_only, monkey
     assert calls
     for call in calls:
         va, vb, subs = _search_args(*call)
-        _same_results(va, vb, first_only=first_only, **subs)
+        _same_results(va, vb, limit=limit, **subs)
 
 
 def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
@@ -445,6 +449,53 @@ def test_isomorphisms_equal_row_oracle_in_classify_index_n(monkeypatch):
     for call in calls:
         va, vb, subs = _search_args(*call)
         _same_results(va, vb, **subs)
+
+
+def test_isomorphisms_yield_each_map_as_found(monkeypatch):
+    """The first automorphism of Hol(C2^3) is yielded after fewer point-map
+    extensions than the whole search makes, and draining the search gives
+    all 2688, in the order automorphisms() lists them: ascending generator
+    images, the order the row oracle checks."""
+    from hopfgalois import homsearch
+    from hopfgalois.holomorph import holomorph
+
+    (N,) = [N for N in groups_of_order(8).groups if N.tag == "C2xC2xC2"]
+    view = view_of(holomorph(N).group)
+    extend, calls = homsearch._extend_point_map, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(homsearch, "_extend_point_map", counting)
+    maps = homsearch.isomorphisms(view, view)
+    first = next(maps)
+    at_first = calls[0]
+    images = [first[1]] + [gen_images for _, gen_images, _ in maps]
+    assert at_first < calls[0]
+    assert len(images) == 2688
+    assert all(a < b for a, b in zip(images, images[1:]))
+
+
+def test_replay_guards_the_left_regular_route(monkeypatch):
+    """A map from the left-regular search that is not a homomorphism is
+    caught by the replay, on find_isomorphism and on a pair whose
+    designated subgroup is no point stabilizer."""
+    import hopfgalois.isomorphism as iso
+
+    search = iso.isomorphisms
+
+    def corrupted(A, B, **kwargs):
+        for gens, images, full in search(A, B, **kwargs):
+            yield gens, images, {**full, 1: full[2], 2: full[1]}
+
+    monkeypatch.setattr(iso, "isomorphisms", corrupted)
+    s3, a3 = S3(), PermGroup(3, [parse_perm("(0 1 2)")])
+    assert not is_point_stabilizer_pair(s3, a3)
+    with pytest.raises(PreconditionError):
+        find_isomorphism(s3, s3)
+    with pytest.raises(PreconditionError):
+        pair_isomorphic(s3, a3, s3, a3)
 
 
 def test_witness_search_and_replay_build_no_row_on_the_target(monkeypatch):
@@ -511,8 +562,8 @@ def test_two_block_maps_equal_automorphisms_keeping_stab0(degree, entry_id):
 def test_verdict_equals_witness_search(n):
     """is_pair_isomorphic equals pair_isomorphic(...) is not None on every
     same-order ordered pair of catalogue entries, and of each distinct
-    index-n quotient pair against the entries; and, through its fallback,
-    on pairs whose designated subgroup is no point stabilizer."""
+    index-n quotient pair against the entries; and on pairs whose
+    designated subgroup is no point stabilizer."""
     from hopfgalois.pipeline import build_catalogue
     from hopfgalois.subgroups import index_n_subgroup_classes
 

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -11,21 +12,21 @@ import pytest
 SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def _spans():
+def _bench_constant(name):
     tree = ast.parse(SPANS_FILE.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("no SPANS in bench/spans.py")
+    raise AssertionError(f"no {name} in bench/spans.py")
 
 
 def test_traced_spans_resolve():
     """Every (module, attribute) that the bench tracer wraps exists in the
     package, so renaming or deleting a traced function fails here rather
     than in a traced bench run."""
-    spans = _spans()
+    spans = _bench_constant("SPANS")
     assert spans
     for mod_name, attr, _span in spans:
         owner = importlib.import_module(f"hopfgalois.{mod_name}")
@@ -33,6 +34,21 @@ def test_traced_spans_resolve():
             assert hasattr(owner, part), f"hopfgalois.{mod_name}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), f"hopfgalois.{mod_name}.{attr} is not callable"
+
+
+def test_traced_generators_are_generator_functions():
+    """Every span the tracer wraps as a generator names a generator
+    function: the wrapper calls next() on what the function returns, so a
+    function that returned a list would break only traced bench runs."""
+    generators = _bench_constant("GENERATORS")
+    assert generators
+    for span in generators:
+        (fn,) = [
+            getattr(importlib.import_module(f"hopfgalois.{mod_name}"), attr)
+            for mod_name, attr, name in _bench_constant("SPANS")
+            if name == span
+        ]
+        assert inspect.isgeneratorfunction(fn), f"{span} is not a generator function"
 
 
 # SHA-256 of json.dumps([entry.to_json() ...], sort_keys=True) over the
