@@ -11,8 +11,10 @@ after only (none when those force solvability).  They all lie in the
 perfect residual G^(oo), so the search runs inside it (on a view of its
 own when it is proper): G^(oo) itself, and the perfect residuals of
 two-generated subgroups (every perfect group within the supported order
-range is 2-generated), of which only half the generating pairs are
-closed: one per pair up to conjugacy and swapping.
+range is 2-generated).  <x, y> depends only on the cyclic subgroups <x>
+and <y>, so one pair is closed per pair of cyclic subgroups up to
+conjugacy and swapping, and the sweep runs at most once per element set:
+a later call with no larger a cap is served from a bounded table.
 
 Deduplication keys every conjugate of every discovered subgroup, so a
 candidate is recognized in one set lookup; class sizes and normalizers fall
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from math import gcd
 from operator import itemgetter
 
 from ._numtheory import factorize
@@ -73,26 +76,98 @@ def _conjugacy_orbit(conj_maps, S: frozenset):
     return orbit, tuple(min(map(sorted, orbit)))
 
 
+def _sweep_pairs(view):
+    """The pairs (x, y) whose closures the perfect-subgroup sweep takes: one
+    per pair of cyclic subgroups (X, Y) up to conjugacy and swapping.
+
+    A cyclic subgroup is ranked by the least rank, in the order of the
+    conjugacy classes by size, of a class holding one of its generators,
+    and named by its least-index generator, read off the power maps x^k
+    for k prime to the order of x.  x runs over the class representatives
+    that generate a cyclic subgroup X of their own rank, one per class of
+    cyclic subgroups, and y over the names of one Y per N_G(X)-orbit of
+    the cyclic subgroups ranked no earlier than X.  Any pair (a, b)
+    becomes one of these: swap a and b to rank <a> first, conjugate <a>
+    onto X, which makes a some x^k, then conjugate <b> within its
+    N_G(X)-orbit; <x^k, b> = <x, y> for y the name of <b>."""
+    size = view.size
+    classes = sorted(view.conj_classes(), key=len)
+    orders = view.element_orders()
+    rank = array("i", [0]) * size
+    for r, c in enumerate(classes):
+        for i in c:
+            rank[i] = r
+    name = list(range(size))
+    least = rank.tolist()
+    for k in range(2, max(orders)):
+        m = view.power_map(k)
+        for y in range(size):
+            if k < orders[y] and gcd(k, orders[y]) == 1:
+                z = m[y]
+                if z < name[y]:
+                    name[y] = z
+                if rank[z] < least[y]:
+                    least[y] = rank[z]
+    for r, c in enumerate(classes):
+        x = c[0]
+        if orders[x] == 1 or least[x] < r:
+            continue
+        X = view.closure([x])
+        nmaps = [
+            view.conjugation_map(g)
+            for g in view.greedy_generators(view.normalizing(range(size), (x,), X, ()))
+        ]
+        seen = set()
+        for y in (y for d in classes[r:] for y in d):
+            if name[y] != y or least[y] < r or y in seen:
+                continue
+            seen.add(y)
+            orbit = [y]
+            for z in orbit:
+                for m in nmaps:
+                    w = name[m[z]]
+                    if w not in seen:
+                        seen.add(w)
+                        orbit.append(w)
+            yield x, y
+
+
+# element set -> (cap, perfect subgroups) of the last sweep on it
+_SWEEPS: dict[tuple, tuple] = {}
+_SWEEPS_MAXSIZE = 32
+
+
 def _perfect_subgroups(view, cap: int) -> list[frozenset]:
     """Perfect subgroups of the view's group, at least one in each class of
     nontrivial proper ones of order at most ``cap``:
     perfect residuals of two-generated subgroups, then a round that extends
     each one found by single class representatives.
 
-    Only pairs (x, y) are closed where x represents a conjugacy class and y
-    an orbit of the centralizer of x in a class that comes no earlier in
-    the order by class size: any pair (a, b) becomes one of these by
-    swapping a and b to put a's class first and then conjugating.
-    A closure past half the group is the whole group (Lagrange) and is
-    dropped, and so is one past ``cap`` when that is below half: a wanted
-    perfect P is itself 2-generated, so some pair closes to a conjugate of
-    P within the cap.  Subgroups whose order forces solvability are
-    dismissed without computing a derived series."""
-    classes = sorted(view.conj_classes(), key=len)
-    orders = view.element_orders()
+    Only the pairs of ``_sweep_pairs`` are closed, one per pair of cyclic
+    subgroups up to conjugacy and swapping.  A closure past half the group
+    is the whole group (Lagrange) and is dropped, and so is one past
+    ``cap`` when that is below half: a wanted perfect P is itself
+    2-generated, so some pair closes to a conjugate of P within the cap.
+    Subgroups whose order forces solvability are dismissed without
+    computing a derived series.
+
+    The result depends on the element set alone, and a sweep with a
+    larger cap finds a superset of the sets one with a smaller cap finds.
+    So the last sweep on each element set is kept in a bounded table, and
+    a call whose cap is no larger than the stored one (or whose stored cap
+    is none) is served from it, keeping the sets of order at most its cap;
+    these are all genuine perfect subgroups, so the lattice's classes do
+    not change."""
     half = view.size // 2
     if cap >= half:
         cap = None
+    key = tuple(view.elements)
+    stored = _SWEEPS.pop(key, None)
+    if stored is not None and (stored[0] is None or (cap is not None and stored[0] >= cap)):
+        _SWEEPS[key] = stored
+        return [P for P in stored[1] if cap is None or len(P) <= cap]
+    classes = view.conj_classes()
+    orders = view.element_orders()
     found: dict[frozenset, None] = {}
     residual_cache: dict[frozenset, frozenset] = {}
 
@@ -104,31 +179,12 @@ def _perfect_subgroups(view, cap: int) -> list[frozenset]:
             R = residual_cache[S] = view.perfect_residual(S)
         return R
 
-    for rank, c in enumerate(classes):
-        x = c[0]
-        if orders[x] == 1:
-            continue
-        cmaps = [
-            view.conjugation_map(g)
-            for g in view.greedy_generators(view.centralizer_elements(x))
-        ]
-        seen_y = set()
-        for y in (y for d in classes[rank:] for y in d):
-            if y in seen_y:
-                continue
-            seen_y.add(y)
-            orbit = [y]
-            for z in orbit:
-                for m in cmaps:
-                    w = m[z]
-                    if w not in seen_y:
-                        seen_y.add(w)
-                        orbit.append(w)
-            S = view.closure([x, y], maxsize=half if cap is None else cap)
-            if S is not None:
-                R = residual(S)
-                if R is not None and len(R) > 1:
-                    found.setdefault(R)
+    for x, y in _sweep_pairs(view):
+        S = view.closure([x, y], maxsize=half if cap is None else cap)
+        if S is not None:
+            R = residual(S)
+            if R is not None and len(R) > 1:
+                found.setdefault(R)
     # residual closure: extend each perfect subgroup by single elements
     frontier = list(found)
     while frontier:
@@ -145,7 +201,11 @@ def _perfect_subgroups(view, cap: int) -> list[frozenset]:
                     found.setdefault(fresh)
                     new.append(fresh)
         frontier = new
-    return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
+    result = sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
+    if len(_SWEEPS) >= _SWEEPS_MAXSIZE:
+        del _SWEEPS[next(iter(_SWEEPS))]
+    _SWEEPS[key] = (cap, result)
+    return result
 
 
 def _preimages(power_map) -> tuple[array, array]:

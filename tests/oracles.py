@@ -377,6 +377,42 @@ def perfect_subgroups(view):
     return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
 
 
+# -- the sweep's pairs before it paired cyclic subgroups ----------------------
+#
+# Like perfect_subgroups, this runs the package's engine: it is the pair
+# loop of subgroups._perfect_subgroups before the sweep paired cyclic
+# subgroups up to conjugacy, kept as its reference.  x runs over the
+# class representatives and y over one element per orbit of x's
+# centralizer in the classes no earlier than x's, by class size.
+
+
+def centralizer_sweep_pairs(view):
+    """The pairs (x, y) the sweep closed before it named cyclic subgroups."""
+    classes = sorted(view.conj_classes(), key=len)
+    orders = view.element_orders()
+    for rank, c in enumerate(classes):
+        x = c[0]
+        if orders[x] == 1:
+            continue
+        cmaps = [
+            view.conjugation_map(g)
+            for g in view.greedy_generators(view.centralizer_elements(x))
+        ]
+        seen_y = set()
+        for y in (y for d in classes[rank:] for y in d):
+            if y in seen_y:
+                continue
+            seen_y.add(y)
+            orbit = [y]
+            for z in orbit:
+                for m in cmaps:
+                    w = m[z]
+                    if w not in seen_y:
+                        seen_y.add(w)
+                        orbit.append(w)
+            yield x, y
+
+
 # -- the cyclic-extension loop before it read candidates off power-map preimages --
 #
 # Like perfect_subgroups, this runs the package's engine: it is the body of

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
-from hopfgalois.engine import view_of
+from hopfgalois import subgroups
+from hopfgalois.engine import GroupView, view_of
 from hopfgalois.errors import PreconditionError, ResourceLimitError
 from hopfgalois.groups import groups_of_order
 from hopfgalois.holomorph import holomorph
@@ -14,11 +17,13 @@ from hopfgalois.subgroups import (
     is_solvable,
     _conjugacy_orbit,
     _Lattice,
+    _sweep_pairs,
     transitive_subgroup_classes,
 )
 
 from oracles import (
     brute_subgroup_classes,
+    centralizer_sweep_pairs,
     classify_index_n_pairwise,
     extension_run,
     perfect_subgroups,
@@ -118,10 +123,12 @@ def test_solvability():
     assert not is_solvable(PermGroup(5, [parse_perm("(0 1 2 3 4)"), parse_perm("(0 1)")]))
 
 
+def _hol_c2_cubed_holomorph():
+    return next(h for h in map(holomorph, groups_of_order(8).groups) if h.group.order() == 1344)
+
+
 def _hol_c2_cubed():
-    return next(
-        h.group for h in map(holomorph, groups_of_order(8).groups) if h.group.order() == 1344
-    )
+    return _hol_c2_cubed_holomorph().group
 
 
 PERFECT_SEEDING_CASES = [
@@ -154,6 +161,100 @@ def test_perfect_seeding_matches_old_sweep(name, make):
     maps = view.generator_conjugation_maps()
     expected = {_conjugacy_orbit(maps, P)[1] for P in perfect_subgroups(view)}
     assert expected and seeded == expected
+
+
+def _pair_closure_keys(view, pairs):
+    """The conjugacy keys of the closures <x, y>, None for one past half
+    the group (the sweep's cap when it is not given a smaller one)."""
+    maps = view.generator_conjugation_maps()
+    keys = {}
+    for x, y in pairs:
+        S = view.closure([x, y], maxsize=view.size // 2)
+        if S not in keys:
+            keys[S] = None if S is None else _conjugacy_orbit(maps, S)[1]
+    return set(keys.values())
+
+
+PAIR_CASES = [
+    (f"Hol({N.label})", lambda N=N: holomorph(N).group)
+    for n in range(4, 13)
+    for N in groups_of_order(n).groups
+] + PERFECT_SEEDING_CASES
+
+
+@pytest.mark.parametrize("name,make", PAIR_CASES, ids=[name for name, _ in PAIR_CASES])
+def test_sweep_pairs_close_the_oracle_pairs_classes(name, make):
+    """The pairs of cyclic subgroups up to conjugacy close to the same
+    classes of subgroups as the pairs of class representatives and
+    centralizer orbits, kept as oracles.centralizer_sweep_pairs."""
+    view = view_of(make())
+    assert _pair_closure_keys(view, _sweep_pairs(view)) == _pair_closure_keys(
+        view, centralizer_sweep_pairs(view)
+    )
+
+
+def test_sweep_pairs_on_hol_c2_cubed():
+    view = view_of(_hol_c2_cubed())
+    assert len(list(_sweep_pairs(view))) == 360
+    assert len(list(centralizer_sweep_pairs(view))) == 938
+
+
+def _count_sweep_closures(monkeypatch):
+    """A list that gains an entry for each GroupView.closure call made
+    directly by the perfect-subgroup sweep."""
+    calls = []
+    closure = GroupView.closure
+
+    def counted(self, seed, maxsize=None):
+        if sys._getframe(1).f_code.co_name == "_perfect_subgroups":
+            calls.append(seed)
+        return closure(self, seed, maxsize)
+
+    monkeypatch.setattr(GroupView, "closure", counted)
+    return calls
+
+
+def _entry_38():
+    from hopfgalois.pipeline import build_catalogue
+
+    (entry,) = [e for e in build_catalogue(8) if e.entry_id == 38]
+    assert entry.order == 1344
+    return entry
+
+
+def test_sweep_table_serves_a_smaller_cap(monkeypatch):
+    """After the lattice of Hol(C2^3), the index-8 lattice of catalogue
+    entry 38, the same group on the same element set, closes no sweep
+    pair, and gives the classes it gives with the table cleared."""
+    entry = _entry_38()
+    subgroups._SWEEPS.clear()
+    transitive_subgroup_classes(_hol_c2_cubed_holomorph())
+    calls = _count_sweep_closures(monkeypatch)
+    served = index_n_subgroup_classes(entry.group, 8)
+    assert not calls
+    subgroups._SWEEPS.clear()
+    fresh = index_n_subgroup_classes(entry.group, 8)
+    assert calls
+    assert _described(served) == _described(fresh)
+
+
+def test_sweep_table_sweeps_again_for_a_larger_cap(monkeypatch):
+    """An index-8 sweep on entry 38, capped at order 168, does not serve
+    the uncapped catalogue lattice of Hol(C2^3): the sweep runs again,
+    and the degree-8 catalogue is still the pinned one."""
+    import hashlib
+    import json
+
+    from hopfgalois.pipeline import build_catalogue
+    from test_tooling import CATALOGUE_DIGESTS
+
+    entry = _entry_38()
+    subgroups._SWEEPS.clear()
+    index_n_subgroup_classes(entry.group, 8)
+    calls = _count_sweep_closures(monkeypatch)
+    payload = json.dumps([e.to_json() for e in build_catalogue(8)], sort_keys=True)
+    assert calls
+    assert hashlib.sha256(payload.encode()).hexdigest() == CATALOGUE_DIGESTS[8]
 
 
 def _described(classes):
