@@ -30,32 +30,11 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(q) == [(q, 1)]
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        else:
-            d += 1
-    return True
+    return n >= 1 and all(a == 1 for _, a in factorize(n))
 
 
 def multiplicative_order(a: int, m: int) -> int:

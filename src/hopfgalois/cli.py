@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import cache as cachemod
 from .errors import PreconditionError, ResourceLimitError, VerificationError
@@ -167,7 +168,7 @@ def cmd_verify_pq(args) -> int:
 
 def _load_pair_file(path):
     try:
-        obj = json.loads(open(path).read())
+        obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"cannot parse pair file {path}: {exc}") from None
     for key in ("degree", "G", "H"):
@@ -229,6 +230,17 @@ def cmd_extend(args) -> int:
 
     if args.degree % 2 == 0:
         raise PreconditionError("n odd required for family extension")
+    if args.primes:
+        try:
+            primes = [int(x) for x in args.primes.split(",")]
+        except ValueError:
+            raise PreconditionError(
+                f"--primes must be comma-separated integers: {args.primes!r}"
+            ) from None
+    elif args.auto_prime:
+        primes = [find_extension_prime(args.degree, args.degree)]
+    else:
+        raise PreconditionError("need --auto-prime or --primes")
     catalogue, witnesses = analyze_degree(
         args.degree,
         cache_dir=args.cache_dir or cachemod.default_cache_dir(),
@@ -241,12 +253,6 @@ def cmd_extend(args) -> int:
     if not witnesses[entry.entry_id]:
         raise PreconditionError(f"entry {args.entry} has no parallel no-HGS witness")
     witness = witnesses[entry.entry_id][0]
-    if args.primes:
-        primes = [int(x) for x in args.primes.split(",")]
-    elif args.auto_prime:
-        primes = [find_extension_prime(args.degree, args.degree)]
-    else:
-        raise PreconditionError("need --auto-prime or --primes")
     certs = iterate_family(entry, witness, primes, catalogue)
     for cert in certs:
         if args.format == "json":

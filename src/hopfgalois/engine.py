@@ -20,7 +20,16 @@ import math
 from array import array
 from collections import Counter
 
-from .perms import compose, cycle_length_at, cycle_type, inverse, left_multiples, pad256, power
+from .perms import (
+    compose,
+    cycle_length_at,
+    cycle_type,
+    inverse,
+    left_multiples,
+    orbit_of,
+    pad256,
+    power,
+)
 
 CAYLEY_LIMIT = 2048
 
@@ -205,17 +214,9 @@ class GroupView:
             seen = set()
             reps = []
             for x in pool:
-                if x in seen:
-                    continue
-                reps.append(x)
-                seen.add(x)
-                orbit = [x]
-                for y in orbit:
-                    for m in maps:
-                        z = m[y]
-                        if z not in seen:
-                            seen.add(z)
-                            orbit.append(z)
+                if x not in seen:
+                    reps.append(x)
+                    seen.update(orbit_of(maps, (x,)))
             self._pool_reps[key] = reps
         return reps
 
@@ -370,21 +371,11 @@ class GroupView:
             class_of = array("i", [-1]) * self.size
             classes = []
             for i in range(self.size):
-                if class_of[i] >= 0:
-                    continue
-                cid = len(classes)
-                orbit = [i]
-                class_of[i] = cid
-                pos = 0
-                while pos < len(orbit):
-                    x = orbit[pos]
-                    pos += 1
-                    for m in maps:
-                        y = m[x]
-                        if class_of[y] < 0:
-                            class_of[y] = cid
-                            orbit.append(y)
-                classes.append(tuple(sorted(orbit)))
+                if class_of[i] < 0:
+                    orbit = orbit_of(maps, (i,))
+                    for x in orbit:
+                        class_of[x] = len(classes)
+                    classes.append(tuple(sorted(orbit)))
             self._classes = classes
             self._class_of = class_of
         return self._classes

@@ -11,6 +11,7 @@ members first, then by construction parameters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +20,7 @@ from .engine import GroupView
 from .errors import PreconditionError, UnsupportedOrderError
 from .homsearch import automorphisms, isomorphisms
 from .permgroup import PermGroup
-from .perms import make_perm
+from .perms import make_perm, perm_order
 
 SUPPORTED_SPECIAL = frozenset(range(1, 17)) | {18, 20, 21, 24, 27}
 SUPPORTED_DESCRIPTION = "1..16, 18, 20, 21, 24, 27, and all squarefree n <= 255"
@@ -90,17 +91,7 @@ def _check_table(table):
             raise PreconditionError("multiplication table rows must be permutations")
         if table[a][0] != a or table[0][a] != a:
             raise PreconditionError("element 0 must be the identity")
-    limit = 64
-    import itertools
-
-    triples = (
-        itertools.product(range(n), repeat=3)
-        if n <= limit
-        else itertools.islice(
-            ((a % n, (a * 7 + 3) % n, (a * 13 + 5) % n) for a in range(4096)), 4096
-        )
-    )
-    for a, b, c in triples:
+    for a, b, c in itertools.product(range(n), repeat=3):
         if table[table[a][b]][c] != table[a][table[b][c]]:
             raise PreconditionError("multiplication table is not associative")
 
@@ -220,8 +211,6 @@ def _abelian_groups(n: int) -> list[AbstractGroup]:
     per_prime = []
     for p, a in factors:
         per_prime.append([(p, part) for part in partitions(a)])
-    import itertools
-
     out = []
     for combo in itertools.product(*per_prime):
         cyc = []
@@ -254,16 +243,11 @@ def squarefree_groups(n: int) -> list[AbstractGroup]:
     return groups
 
 
-def _invariant_key(g: AbstractGroup) -> tuple:
-    v = g.view()
-    return v.invariant_vector()
-
-
 def _dedup_by_isomorphism(candidates: list[AbstractGroup]) -> list[AbstractGroup]:
     buckets: dict[tuple, list[AbstractGroup]] = {}
     kept: list[AbstractGroup] = []
     for g in candidates:
-        key = _invariant_key(g)
+        key = g.view().invariant_vector()
         bucket = buckets.setdefault(key, [])
         if any(
             next(isomorphisms(g.view(), h.view()), None) is not None for h in bucket
@@ -272,16 +256,6 @@ def _dedup_by_isomorphism(candidates: list[AbstractGroup]) -> list[AbstractGroup
         bucket.append(g)
         kept.append(g)
     return kept
-
-
-def _map_order(phim: tuple) -> int:
-    n = len(phim)
-    o = 1
-    power = list(phim)
-    while any(power[x] != x for x in range(n)):
-        power = [phim[x] for x in power]
-        o += 1
-    return o
 
 
 def _special_candidates(n: int) -> list[AbstractGroup]:
@@ -293,7 +267,7 @@ def _special_candidates(n: int) -> list[AbstractGroup]:
         for A in groups_of_order(m).groups:
             for phi in automorphisms(A.view()):
                 phim = tuple(phi[x] for x in range(A.order))
-                if d % _map_order(phim) != 0:
+                if d % perm_order(phim) != 0:
                     continue
                 candidates.append(semidirect_with_cyclic(A, d, phim))
     if n % 4 == 0 and n >= 8:
@@ -351,14 +325,7 @@ def groups_of_order(n: int) -> GroupCatalogue:
 # -- regular representation ----------------------------------------------
 
 
-def _generating_indices(g: AbstractGroup) -> list[int]:
-    if g.order == 1:
-        return []
-    view = g.view()
-    return list(view.generators())
-
-
 def regular_representation(N: AbstractGroup) -> PermGroup:
     """Left translations of N acting on its own elements; point 0 = identity."""
-    gens = [make_perm(N.table[a]) for a in _generating_indices(N)]
+    gens = [make_perm(N.table[a]) for a in N.view().generators()]
     return PermGroup(max(N.order, 1), gens)

@@ -15,10 +15,11 @@ from functools import lru_cache
 
 from ._numtheory import crt, factorize, is_squarefree, primitive_root
 from .errors import PreconditionError, ResourceLimitError
-from .groups import AbstractGroup, _table_view
+from .groups import AbstractGroup, _table_view, regular_representation
 from .homsearch import automorphisms as _automorphism_maps
 from .permgroup import PermGroup, group_from_elements
-from .perms import compose, identity, make_perm
+from .perms import make_perm
+from .subgroups import index_n_subgroup_classes
 
 AUT_ORDER_BOUND = 256
 
@@ -76,7 +77,7 @@ class Holomorph:
 
 def holomorph(N: AbstractGroup, max_order: int = AUT_ORDER_BOUND) -> Holomorph:
     aut = automorphism_group(N, max_order)
-    lam = _regular_group(N)
+    lam = regular_representation(N)
     gens = list(lam.generators) + list(aut.group.generators)
     group = PermGroup(max(N.order, 1), gens)
     expected = N.order * aut.order()
@@ -87,17 +88,7 @@ def holomorph(N: AbstractGroup, max_order: int = AUT_ORDER_BOUND) -> Holomorph:
     return Holomorph(group, lam, aut, N)
 
 
-def _regular_group(N: AbstractGroup) -> PermGroup:
-    from .groups import regular_representation
-
-    return regular_representation(N)
-
-
 # -- squarefree Hall decomposition ----------------------------------------
-
-
-def _prime_set(n: int) -> set[int]:
-    return {p for p, _ in factorize(n)}
 
 
 def _pi_part(m: int, primes: set[int]) -> int:
@@ -160,7 +151,7 @@ def hall_pi_subgroup(hol: Holomorph) -> PermGroup:
     if not is_squarefree(n):
         raise PreconditionError("Hall decomposition requires squarefree |N|")
     e, d, k = _metacyclic_params(N)
-    primes = _prime_set(n)
+    primes = {p for p, _ in factorize(n)}
     # element s^i t^j has index i*d + j
     sigma = 1 * d % (e * d) if e > 1 else 0
     tau = 1 if d > 1 else 0
@@ -208,7 +199,11 @@ def _pi_part_unit_generators(e: int, primes: set[int]) -> list[int]:
 
 def hall_decomposition(hol: Holomorph, G: PermGroup):
     """G = U x| V for squarefree |N|: U = G meet Q is the unique Hall
-    subgroup of G for the primes of |N|, V a complement of coprime order."""
+    subgroup of G for the primes of |N|, normal in G.  Every subgroup of
+    order |G:U| is a complement: its order is prime to |U|, so it meets U
+    trivially and UV = G.  By Schur-Zassenhaus (G is solvable) complements
+    exist and are all conjugate, so V is the representative of the one
+    class of index-|U| subgroups of G."""
     N = hol.N_ref
     n = N.order
     if not is_squarefree(n):
@@ -218,57 +213,9 @@ def hall_decomposition(hol: Holomorph, G: PermGroup):
     Q = hall_pi_subgroup(hol)
     u_elements = [x for x in G.elements() if x in Q]
     U = group_from_elements(G.degree, u_elements)
-    v_order = G.order() // U.order()
-    if v_order == 1:
+    if U.order() == G.order():
         return U, PermGroup(G.degree, [])
-    primes = _prime_set(n)
-    from .perms import perm_order
-
-    pi_prime = [
-        x for x in G.elements() if math.gcd(perm_order(x), math.prod(primes)) == 1
-    ]
-    pi_prime_set = set(pi_prime)
-    # V is abelian (inside a conjugate of the diagonal complement), so grow
-    # subgroups whose elements all have order coprime to n
-    seen = set()
-    frontier = [frozenset({identity(G.degree)})]
-    seen.add(frontier[0])
-    while frontier:
-        new = []
-        for S in frontier:
-            if len(S) == v_order:
-                V = group_from_elements(G.degree, S)
-                return U, V
-            for x in sorted(pi_prime):
-                if x in S:
-                    continue
-                closure = _closure_within(S, x, pi_prime_set)
-                if closure is None or closure in seen:
-                    continue
-                if v_order % len(closure) == 0:
-                    seen.add(closure)
-                    new.append(closure)
-        frontier = new
-    raise PreconditionError("no Hall complement found; G is not inside the holomorph")
-
-
-def _closure_within(S, x, allowed):
-    els = set(S)
-    els.add(x)
-    gens = [g for g in els if not all(i == v for i, v in enumerate(g))]
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                y = compose(g, a)
-                if y not in allowed:
-                    return None
-                if y not in els:
-                    els.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(els)
+    return U, index_n_subgroup_classes(G, U.order())[0].representative
 
 
 # -- characteristic quotient projection -----------------------------------

@@ -27,6 +27,7 @@ from .perms import (
     is_identity,
     left_multiples,
     make_perm,
+    orbit_of,
     parse_perm,
 )
 
@@ -232,30 +233,7 @@ class PermGroup:
     def orbit(self, p: int) -> list[int]:
         if not 0 <= p < self.degree:
             raise PreconditionError(f"point {p} outside 0..{self.degree - 1}")
-        seen = {p}
-        frontier = [p]
-        while frontier:
-            new = []
-            for pt in frontier:
-                for g in self.generators:
-                    img = g[pt]
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            new.sort()
-            frontier = new
-        return sorted(seen)
-
-    def orbits(self) -> list[list[int]]:
-        seen = set()
-        out = []
-        for p in range(self.degree):
-            if p in seen:
-                continue
-            orb = self.orbit(p)
-            seen.update(orb)
-            out.append(orb)
-        return out
+        return sorted(orbit_of(self.generators, (p,)))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree

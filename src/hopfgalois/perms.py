@@ -111,9 +111,10 @@ def orbit_of(perms, points=(0,)) -> list:
     seen = set(orbit)
     for x in orbit:
         for p in perms:
-            if p[x] not in seen:
-                seen.add(p[x])
-                orbit.append(p[x])
+            y = p[x]
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
     return orbit
 
 

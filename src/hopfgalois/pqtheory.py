@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._numtheory import crt, divisors, is_prime, multiplicative_order, primitive_root
+from ._numtheory import crt, divisors, factorize, is_prime, multiplicative_order, primitive_root
 from .errors import PreconditionError, VerificationError
 from .groups import groups_of_order
 from .holomorph import Holomorph, _s_power, automorphism_from_images, holomorph
 from .isomorphism import is_pair_isomorphic
 from .permgroup import PermGroup
-from .perms import compose, make_perm
+from .perms import compose, make_perm, power
 from .subgroups import all_subgroup_classes, class_key_of, classify_index_n
 
 
@@ -59,11 +59,7 @@ class PqParameters:
 def pq_parameters(p: int, q: int) -> PqParameters:
     if p <= q or q < 3 or not is_prime(p) or not is_prime(q) or p % 2 == 0 or q % 2 == 0:
         raise PreconditionError("need odd primes p > q")
-    e0 = 0
-    m = p - 1
-    while m % q == 0:
-        m //= q
-        e0 += 1
+    e0 = dict(factorize(p - 1)).get(q, 0)
     s = (p - 1) // q**e0
     k = _least_of_order(q, p) if e0 > 0 else 1
     return PqParameters(p, q, e0, s, k)
@@ -161,7 +157,6 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
     N = groups_of_order(n).groups[1]
     assert not N.is_abelian()
     hol = holomorph(N)
-    k = params.k
     # element s^i t^j has index i*q + j
     sigma = 1 * q
     tau = 1
@@ -180,10 +175,7 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
         )
 
     E1 = lam(sigma)
-    theta_km1 = theta
-    for _ in range(k - 2):
-        theta_km1 = compose(theta_km1, theta)
-    E2 = compose(lam(sigma), theta_km1)
+    E2 = compose(lam(sigma), power(theta, params.k - 1))
     T = lam(tau)
     A = phi(a_alpha)
     B = phi(a_beta) if s > 1 else None
@@ -191,15 +183,13 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
     if P.order() != p * p:
         raise VerificationError("Sylow p-subgroup construction failed")
     built = []
-    from .perms import power as perm_power
-
     for c in range(0, e0 + 1):
         for d in divisors(s):
             gens = [E1, E2, T]
             if c > 0:
-                gens.append(perm_power(A, q ** (e0 - c)))
+                gens.append(power(A, q ** (e0 - c)))
             if d > 1:
-                gens.append(perm_power(B, s // d))
+                gens.append(power(B, s // d))
             G = PermGroup(n, gens)
             expected = p * p * q ** (1 + c) * d
             if G.order() != expected:
@@ -212,9 +202,9 @@ def metacyclic_type_transitive_subgroups(params: PqParameters):
             for u in range(1, q**c):
                 if u % q == 0:
                     continue
-                gens = [E1, E2, compose(T, perm_power(A, u * q ** (e0 - c)))]
+                gens = [E1, E2, compose(T, power(A, u * q ** (e0 - c)))]
                 if d > 1:
-                    gens.append(perm_power(B, s // d))
+                    gens.append(power(B, s // d))
                 G = PermGroup(n, gens)
                 expected = p * p * q**c * d
                 if G.order() != expected:
@@ -353,12 +343,7 @@ class PqVerification:
 def _nx_info(params: PqParameters, G: PermGroup, lam_tau) -> dict:
     """q^2 | |G| and centrality of the order-q translation, computed
     directly on the constructed group."""
-    r = G.order()
-    vq = 0
-    m = r
-    while m % params.q == 0:
-        m //= params.q
-        vq += 1
+    vq = dict(factorize(G.order())).get(params.q, 0)
     tau_central = all(
         compose(g, lam_tau) == compose(lam_tau, g) for g in G.generators
     )
@@ -393,7 +378,7 @@ def verify_pq(p: int, q: int) -> PqVerification:
     labels = sorted({e.type_label for e in catalogue})
     cyclic_label = labels[0]
     N_cyc = groups_of_order(n).groups[0]
-    hol_cyc = holomorph(N_cyc)
+    hol_groups = {N.label: holomorph(N).group for N in groups_of_order(n).groups}
     lam_tau = make_perm(N_cyc.table[params.p % n])
 
     # (a) family lists match the generic enumeration
@@ -407,12 +392,13 @@ def verify_pq(p: int, q: int) -> PqVerification:
     matched = {}
     unmatched_meta = []
     for e in catalogue:
-        key = (e.type_label, class_key_of(_hol_group_for(e, hol_cyc, params), e.group))
+        key = (e.type_label, class_key_of(hol_groups[e.type_label], e.group))
         hit = by_key.pop(key, None)
         if hit is not None:
             matched[e.entry_id] = hit
         else:
             unmatched_meta.append(e)
+    del hol_groups  # free the holomorphs' views before the analyses below
     check(
         "families_cover_enumeration",
         not by_key,
@@ -515,9 +501,3 @@ def verify_pq(p: int, q: int) -> PqVerification:
         params, ok, tuple(checks), tuple(entry_rows), tuple(cyc_coll + meta_coll)
     )
 
-
-def _hol_group_for(entry, hol_cyc, params):
-    if entry.type_label.endswith(".0"):
-        return hol_cyc.group
-    N = groups_of_order(params.n).groups[1]
-    return holomorph(N).group

@@ -147,3 +147,19 @@ def test_extend_no_witness_rejected(tmp_path, capsys):
     )
     assert code == 2
     assert "witness" in err
+
+
+def test_extend_bad_primes_rejected_before_analysis(tmp_path, capsys, monkeypatch):
+    import hopfgalois.pipeline as pipeline
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the degree was analysed before --primes was checked")
+
+    monkeypatch.setattr(pipeline, "analyze_degree", no_analysis)
+    code, _, err = run(
+        ["extend", "--degree", "5", "--entry", "0", "--primes", "5,x",
+         "--cache-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "--primes" in err

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from hopfgalois._numtheory import divisors
+from hopfgalois._numtheory import divisors, factorize, is_prime
 from hopfgalois.errors import PreconditionError, UnsupportedOrderError
 from hopfgalois.groups import (
     SUPPORTED_SPECIAL,
@@ -16,6 +18,7 @@ from hopfgalois.groups import (
 )
 from hopfgalois.homsearch import automorphisms, isomorphisms
 from hopfgalois.perms import make_perm
+from hopfgalois.pqtheory import pq_parameters
 
 from oracles import brute_isomorphic, row_isomorphisms
 
@@ -193,3 +196,26 @@ def test_catalogue_serialization():
 def test_is_squarefree():
     assert is_squarefree(1) and is_squarefree(30) and is_squarefree(255)
     assert not is_squarefree(4) and not is_squarefree(12) and not is_squarefree(27)
+
+
+def test_integer_facts_match_brute_force():
+    """is_prime, is_squarefree and the q-adic valuations read off
+    factorize (pq_parameters' e0 among them) agree with the definitions."""
+
+    def valuation(m, q):
+        v = 0
+        while m % q ** (v + 1) == 0:
+            v += 1
+        return v
+
+    for n in range(-2, 5001):
+        small = range(2, math.isqrt(max(n, 0)) + 1)
+        assert is_prime(n) == (n >= 2 and all(n % d for d in small)), n
+        assert is_squarefree(n) == (n >= 1 and all(n % (d * d) for d in small)), n
+        if n >= 1:
+            for q in (2, 3, 5, 7):
+                assert dict(factorize(n)).get(q, 0) == valuation(n, q), (n, q)
+    for p in filter(is_prime, range(5, 500)):
+        for q in (3, 5, 7):
+            if q < p:
+                assert pq_parameters(p, q).e0 == valuation(p - 1, q), (p, q)

@@ -38,7 +38,7 @@ def _pi_radical(n):
     return out
 
 
-@pytest.mark.parametrize("n", [15, 21])
+@pytest.mark.parametrize("n", [15, 21, 33, 35])
 def test_hall_decomposition_exhaustive(n):
     rad = _pi_radical(n)
     for N in groups_of_order(n).groups:

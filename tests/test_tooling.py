@@ -103,3 +103,63 @@ def test_group_catalogues_are_pinned(n):
 
     payload = json.dumps(groups_of_order(n).to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == GROUP_DIGESTS[n]
+
+
+def _sha256(payload: str) -> str:
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+# SHA-256 of json.dumps(verify_pq(7, 3).to_json(), sort_keys=True): the
+# checks, the per-entry predicted and computed triples and the collisions.
+VERIFY_PQ_7_3_DIGEST = "0c73b68f8596894e73b8fd2f7fa744b2e5214d0752320339593c2d98f2367afc"
+
+# SHA-256 of json.dumps of the no-HGS reports' to_json() of analyze_degree(n),
+# entry by entry in catalogue order, with sort_keys=True.
+NO_HGS_DIGESTS = {
+    8: "8eab8af6f2edf4511fef042ebea57f092c3a92c66652761320cbd6e7db0dab35",
+    12: "b41c2194e4e4b759fab0ab886e2721be91b33fa11121364f0a952ed152a1d4c5",
+}
+
+# SHA-256 of json.dumps of [U generators, V generators] from
+# hall_decomposition over every transitive class of every holomorph of
+# degree n, in catalogue and lattice order.
+HALL_DIGESTS = {
+    15: "d612a59ac1306920e8cd90fe20fd5e4e2e9515282755400f3c54d0491fb97787",
+    21: "8a019248b509bf9093add905a90f357d0d96d214cbacc76aad4041ede4a6ec56",
+}
+
+
+def test_verify_pq_7_3_is_pinned():
+    """verify_pq(7, 3) reports byte for byte the pinned checks and rows."""
+    from hopfgalois.pqtheory import verify_pq
+
+    payload = json.dumps(verify_pq(7, 3).to_json(), sort_keys=True)
+    assert _sha256(payload) == VERIFY_PQ_7_3_DIGEST
+
+
+@pytest.mark.parametrize("n", sorted(NO_HGS_DIGESTS))
+def test_no_hgs_reports_are_pinned(n):
+    """The no-HGS witnesses of the degree-n row are byte for byte the
+    pinned ones: subgroup generators, cores, matches and scanned entries."""
+    from hopfgalois.pipeline import analyze_degree
+
+    catalogue, witnesses = analyze_degree(n)
+    reports = [r.to_json() for e in catalogue for r in witnesses[e.entry_id]]
+    assert _sha256(json.dumps(reports, sort_keys=True)) == NO_HGS_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(HALL_DIGESTS))
+def test_hall_decompositions_are_pinned(n):
+    """hall_decomposition picks the pinned U and V generators for every
+    transitive subgroup class at degree n."""
+    from hopfgalois.groups import groups_of_order
+    from hopfgalois.holomorph import hall_decomposition, holomorph
+    from hopfgalois.subgroups import transitive_subgroup_classes
+
+    rows = []
+    for N in groups_of_order(n).groups:
+        hol = holomorph(N)
+        for cls in transitive_subgroup_classes(hol):
+            U, V = hall_decomposition(hol, cls.representative)
+            rows.append([[list(g) for g in U.generators], [list(g) for g in V.generators]])
+    assert _sha256(json.dumps(rows)) == HALL_DIGESTS[n]
