@@ -171,10 +171,14 @@ def _load_pair_file(path):
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"cannot parse pair file {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"pair file {path} holds no JSON object")
     for key in ("degree", "G", "H"):
         if key not in obj:
-            raise PreconditionError(f"pair file missing key {key!r}")
+            raise PreconditionError(f"pair file {path} is missing key {key!r}")
     degree = obj["degree"]
+    if type(degree) is not int or degree < 1:
+        raise PreconditionError(f"pair file {path}: degree must be a positive integer, not {degree!r}")
 
     def build(perms):
         gens = []
@@ -185,7 +189,10 @@ def _load_pair_file(path):
                 gens.append(make_perm(list(p) + list(range(len(p), degree))))
         return PermGroup(degree, gens)
 
-    return degree, build(obj["G"]), build(obj["H"])
+    try:
+        return degree, build(obj["G"]), build(obj["H"])
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"bad permutation in pair file {path}: {exc}") from None
 
 
 def cmd_analyze(args) -> int:

@@ -58,10 +58,11 @@ class PairWitness:
         }
 
 
-def _bounded_views(G, M, max_order):
-    if G.order() > max_order or M.order() > max_order:
+def _bounded_views(G, M):
+    if G.order() > DEFAULT_ISO_BOUND or M.order() > DEFAULT_ISO_BOUND:
         raise ResourceLimitError(
-            f"isomorphism search bound exceeded: orders {G.order()}, {M.order()} > {max_order}"
+            f"isomorphism search bound exceeded: orders {G.order()}, {M.order()} "
+            f"> {DEFAULT_ISO_BOUND}"
         )
     return view_of(G), view_of(M)
 
@@ -287,14 +288,14 @@ def _replay_verifies(va, vb, full_map, sub_a=None, sub_b=None) -> bool:
     return True
 
 
-def _regular_search(G, G_sub, M, M_sub, max_order) -> PairWitness | None:
+def _regular_search(G, G_sub, M, M_sub) -> PairWitness | None:
     """A witness of an isomorphism G -> M carrying G_sub onto M_sub (with
     no subgroup condition when both are None), from the search on the
-    left-regular actions of both groups' views, held to ``max_order``.  The
-    map found is replayed before the witness is built."""
+    left-regular actions of both groups' views, held to ``DEFAULT_ISO_BOUND``.
+    The map found is replayed before the witness is built."""
     if G.order() != M.order():
         return None
-    va, vb = _bounded_views(G, M, max_order)
+    va, vb = _bounded_views(G, M)
     sub_a = sub_b = None
     if G_sub is not None:
         sub_a, sub_b = _subgroup_indices(va, G_sub), _subgroup_indices(vb, M_sub)
@@ -311,11 +312,9 @@ def _regular_search(G, G_sub, M, M_sub, max_order) -> PairWitness | None:
     return None
 
 
-def find_isomorphism(
-    G: PermGroup, M: PermGroup, *, max_order: int = DEFAULT_ISO_BOUND
-) -> PairWitness | None:
+def find_isomorphism(G: PermGroup, M: PermGroup) -> PairWitness | None:
     """A verified isomorphism G -> M, or None when none exists."""
-    return _regular_search(G, None, M, None, max_order)
+    return _regular_search(G, None, M, None)
 
 
 def pair_isomorphic(
@@ -323,8 +322,6 @@ def pair_isomorphic(
     G_sub: PermGroup,
     M: PermGroup,
     M_sub: PermGroup,
-    *,
-    max_order: int = DEFAULT_ISO_BOUND,
 ) -> PairWitness | None:
     """A verified isomorphism G -> M with image of G_sub equal to M_sub.
 
@@ -333,7 +330,7 @@ def pair_isomorphic(
     g -> s g s^-1 fixes 0, so carries G_sub onto M_sub, and maps G into M,
     onto as |G| = |M|.  It is given as (s^-1 m s, m) for M's generators m,
     with no view bound or replay.  Every other pair shape goes through
-    the search on the left-regular actions, held to ``max_order``, as
+    the search on the left-regular actions, held to ``DEFAULT_ISO_BOUND``, as
     ``find_isomorphism`` does."""
     if G.order() != M.order() or G_sub.order() != M_sub.order():
         return None
@@ -347,7 +344,7 @@ def pair_isomorphic(
             return None
         s_inv = inverse(s)
         return PairWitness(tuple((compose(s_inv, compose(m, s)), m) for m in M.generators), True)
-    return _regular_search(G, G_sub, M, M_sub, max_order)
+    return _regular_search(G, G_sub, M, M_sub)
 
 
 def is_pair_isomorphic(

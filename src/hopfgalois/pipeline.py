@@ -4,12 +4,13 @@ The pipeline enumerates, per degree n, the transitive subgroups G of every
 holomorph Hol(N) with |N| = n up to conjugacy.  For one catalogue entry it
 then walks the conjugacy classes of index-n subgroups H <= G, forms the
 faithful transitive quotient pair (G/C, H/C) with C the normal core, and
-scans the catalogue for a pair-isomorphic entry.  Both sides of such a
-test are transitive groups with the stabilizer of point 0, so only entries
-with the quotient's cycle-type key are tested (see ``_cycle_key``).  An
-entry with some H admitting no match anywhere exhibits the parallel no-HGS
-property; a degree is summarized by its total class count and the number
-of such entries.
+looks it up in the catalogue's ``CatalogueIndex``: among the entries of the
+quotient's order, only those with its cycle-type key are tested for pair
+isomorphism, since both sides of such a test are transitive groups with
+the stabilizer of point 0 (see ``_cycle_key``).  An entry with some H
+admitting no match anywhere exhibits the parallel no-HGS property; a
+degree is summarized by its total class count and the number of such
+entries.
 """
 
 from __future__ import annotations
@@ -177,10 +178,6 @@ def build_catalogue(
     return catalogue
 
 
-def _match_candidates(catalogue, order):
-    return [e for e in catalogue if e.order == order]
-
-
 def _cycle_key(G: PermGroup) -> tuple:
     """The multiset of element cycle types of a transitive G.
 
@@ -190,23 +187,51 @@ def _cycle_key(G: PermGroup) -> tuple:
     return view_of(G).cycle_type_multiset()
 
 
-def _match_quotient(J: PermGroup, J_sub: PermGroup, catalogue) -> tuple:
-    """(match, scanned) of the quotient pair (J, J_sub) against the catalogue.
+class CatalogueIndex:
+    """A catalogue's entries by order, and the quotient matches made so far.
 
-    The match is the first same-order entry with J's cycle-type key that is
-    pair-isomorphic to it; an entry with another key is scanned and ruled
-    out untested, and after a miss every same-order entry has been scanned.
+    Each order maps to its entries in catalogue order.  ``match`` remembers
+    each quotient J by its sorted elements.  That is exact: J' = Stab_J(0)
+    is fixed by J's elements, and the match and its witness (the point map,
+    which ``point_map`` finds from J's sorted elements and conjugacy
+    classes) depend on the element set alone, not on J's generators.
     """
-    key = _cycle_key(J)
-    scanned = []
-    for cand in _match_candidates(catalogue, J.order()):
-        scanned.append(cand.entry_id)
-        if _cycle_key(cand.group) != key:
-            continue
-        witness = pair_isomorphic(J, J_sub, cand.group, cand.stabilizer)
-        if witness is not None:
-            return MatchResult(cand.entry_id, witness), tuple(scanned)
-    return None, tuple(scanned)
+
+    def __init__(self, catalogue):
+        self._by_order: dict[int, list[CatalogueEntry]] = {}
+        for entry in catalogue:
+            self._by_order.setdefault(entry.order, []).append(entry)
+        self._matches: dict = {}
+
+    def same_order(self, order: int) -> list[CatalogueEntry]:
+        return self._by_order.get(order, [])
+
+    def candidates(self, G: PermGroup):
+        """(position, entry) for each same-order entry with G's cycle-type
+        key, in catalogue order; an entry's key is computed when reached."""
+        key = _cycle_key(G)
+        for i, cand in enumerate(self.same_order(G.order())):
+            if _cycle_key(cand.group) == key:
+                yield i, cand
+
+    def match(self, J: PermGroup, J_sub: PermGroup) -> tuple:
+        """(match, scanned) of the quotient pair (J, J_sub).
+
+        The match is the first same-order entry pair-isomorphic to it, and
+        ``scanned`` the same-order entries up to and including it, or all of
+        them after a miss.
+        """
+        found = self._matches.get(J.elements())
+        if found is None:
+            scanned = tuple(e.entry_id for e in self.same_order(J.order()))
+            found = None, scanned
+            for i, cand in self.candidates(J):
+                witness = pair_isomorphic(J, J_sub, cand.group, cand.stabilizer)
+                if witness is not None:
+                    found = MatchResult(cand.entry_id, witness), scanned[: i + 1]
+                    break
+            self._matches[J.elements()] = found
+        return found
 
 
 def analyze_parallel(
@@ -214,21 +239,18 @@ def analyze_parallel(
     catalogue: list[CatalogueEntry],
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    matches: dict | None = None,
+    index: CatalogueIndex | None = None,
 ) -> list[ParallelReport]:
     """One report per conjugacy class of index-n subgroups of the entry.
 
-    ``matches`` is a match table for this catalogue: the sorted element
-    tuple of each quotient J matched so far, mapped to its (match, scanned).
-    A quotient whose elements are in it is not matched again.  That is
-    exact: J' = Stab_J(0) is fixed by J's elements, and the match and its
-    witness (the point map, which ``point_map`` finds from J's sorted
-    elements and conjugacy classes) depend on the element set alone, not on
-    J's generators.  Without a table the call keeps one of its own, so
-    repeats within the entry are matched once.
+    Each quotient pair is matched through ``index``, the catalogue's
+    ``CatalogueIndex``: only same-order entries with the quotient's
+    cycle-type key are pair-tested, and a quotient group the index has
+    matched before is not matched again.  Without an index the call builds
+    one, so repeats within the entry are matched once.
     """
-    if matches is None:
-        matches = {}
+    if index is None:
+        index = CatalogueIndex(catalogue)
     n = entry.degree
     G = entry.group
     classes = index_n_subgroup_classes(G, n, max_order=max_order)
@@ -249,10 +271,7 @@ def analyze_parallel(
             continue
         # J acts transitively on the cosets of H, and J_sub fixes H's coset 0
         J, J_sub = permutation_pair_of_quotient(G, H)
-        found = matches.get(J.elements())
-        if found is None:
-            found = matches[J.elements()] = _match_quotient(J, J_sub, catalogue)
-        match, scanned = found
+        match, scanned = index.match(J, J_sub)
         reports.append(
             ParallelReport(
                 entry.entry_id,
@@ -280,9 +299,9 @@ def analyze_degree(
     With a cache directory each analysed entry gets one line in the report
     log; ``resume`` reads back the entries a valid log holds and analyses
     the rest.  ``progress(entry, reports)`` sees every report of each entry
-    analysed in this call.  The entries share one match table (see
-    ``analyze_parallel``), so a quotient group met again at this degree is
-    not matched again; the table lives for this call only.
+    analysed in this call.  The entries share one ``CatalogueIndex``, so a
+    quotient group met again at this degree is not matched again; the index
+    lives for this call only.
     """
     catalogue = build_catalogue(n, cache_dir=cache_dir, resume=resume, max_order=max_order)
     cache_path = cachemod.resolve_cache_dir(cache_dir) if cache_dir or resume else None
@@ -290,11 +309,11 @@ def analyze_degree(
     if cache_path:
         for rec in cachemod.open_report_log(cache_path, n, resume):
             witnesses[rec["entry_id"]] = [ParallelReport.from_json(r, n) for r in rec["witnesses"]]
-    matches: dict = {}
+    index = CatalogueIndex(catalogue)
     for entry in catalogue:
         if entry.entry_id in witnesses:
             continue
-        reports = analyze_parallel(entry, catalogue, max_order=max_order, matches=matches)
+        reports = analyze_parallel(entry, catalogue, max_order=max_order, index=index)
         witnesses[entry.entry_id] = [r for r in reports if r.no_hgs]
         if cache_path:
             cachemod.append_report_line(cache_path, n, {
@@ -345,31 +364,25 @@ def hgs_types_admitted(
     G: PermGroup,
     G_sub: PermGroup,
     n: int,
-    catalogue: list[CatalogueEntry] | None = None,
+    catalogue: list[CatalogueEntry] | CatalogueIndex | None = None,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> set:
     """Labels of the types N whose catalogue holds a pair-isomorphic entry.
 
-    Unless it already is a transitive group with the stabilizer of point 0,
-    the pair is first replaced by its faithful transitive quotient, which is
-    one and is pair-isomorphic to it when the designated subgroup has
-    trivial core.
+    The catalogue may be given as its ``CatalogueIndex``.  Unless the pair
+    already is a transitive group with the stabilizer of point 0, it is
+    first replaced by its faithful transitive quotient, which is one and is
+    pair-isomorphic to it when the designated subgroup has trivial core.
     """
     if not is_point_stabilizer_pair(G, G_sub):
         G, G_sub = permutation_pair_of_quotient(G, G_sub)
     if catalogue is None:
         catalogue = build_catalogue(n, max_order=max_order)
-    key = _cycle_key(G)
+    index = catalogue if isinstance(catalogue, CatalogueIndex) else CatalogueIndex(catalogue)
     out = set()
-    for cand in catalogue:
-        if cand.order != G.order():
-            continue
-        if cand.type_label in out:
-            continue
-        if _cycle_key(cand.group) != key:
-            continue
-        if is_pair_isomorphic(G, G_sub, cand.group, cand.stabilizer):
+    for _, cand in index.candidates(G):
+        if cand.type_label not in out and is_pair_isomorphic(G, G_sub, cand.group, cand.stabilizer):
             out.add(cand.type_label)
     return out
 
@@ -432,6 +445,23 @@ def _product_with_cyclic(entry: CatalogueEntry, report: ParallelReport, q: int):
     return G2, stab2, H2
 
 
+def _check_prime(checks: list, q: int, var: str, m: int, aut_orders) -> None:
+    """Append the checks on the prime q that every extension step makes.
+
+    ``var`` names the degree m in the statements, and ``aut_orders`` pairs
+    each automorphism order q must not divide with the phrase naming it.
+    Raises PreconditionError listing every failed check in ``checks``.
+    """
+    checks.append(("prime", f"q = {q} is prime", is_prime(q)))
+    checks.append(("gcd", f"gcd(q-1, {var}) = gcd({q - 1}, {m}) = 1", math.gcd(q - 1, m) == 1))
+    checks.append((f"q_exceeds_{var}", f"q = {q} > {var} = {m}", q > m))
+    for phrase, a in aut_orders:
+        checks.append(("aut_coprime", f"q = {q} does not divide {phrase}", a % q != 0))
+    failed = [statement for _, statement, ok in checks if not ok]
+    if failed:
+        raise PreconditionError("extension hypotheses failed: " + "; ".join(failed))
+
+
 def extend_family(
     entry: CatalogueEntry,
     report: ParallelReport,
@@ -450,60 +480,37 @@ def extend_family(
     scan already excluded.
     """
     n = entry.degree
-    checks = []
-
-    def check(name, statement, ok):
-        checks.append((name, statement, bool(ok)))
-        return ok
-
     if not report.no_hgs or report.source_entry != entry.entry_id:
         raise PreconditionError("extend_family needs a no-HGS witness report for the entry")
-    ok = True
-    ok &= check("odd_degree", f"n = {n} is odd", n % 2 == 1 and n >= 3)
-    ok &= check("prime", f"q = {q} is prime", is_prime(q))
-    ok &= check("gcd", f"gcd(q-1, n) = gcd({q - 1}, {n}) = 1", math.gcd(q - 1, n) == 1)
-    ok &= check("q_exceeds_n", f"q = {q} > n = {n}", q > n)
+    checks = [("odd_degree", f"n = {n} is odd", n % 2 == 1 and n >= 3)]
     if base_aut_orders is None:
         from .holomorph import automorphism_group
 
         base_aut_orders = tuple(
             automorphism_group(Y).order() for Y in groups_of_order(n).groups
         )
-    for Y_label, a in zip([Y.label for Y in groups_of_order(n).groups], base_aut_orders):
-        ok &= check(
-            "aut_coprime",
-            f"q = {q} does not divide |Aut({Y_label})| = {a}",
-            a % q != 0,
-        )
-    if not ok:
-        raise PreconditionError(
-            "extension hypotheses failed: " + "; ".join(s for _, s, o in checks if not o)
-        )
+    labels = [Y.label for Y in groups_of_order(n).groups]
+    _check_prime(checks, q, "n", n, [
+        (f"|Aut({label})| = {a}", a) for label, a in zip(labels, base_aut_orders)
+    ])
     G2, stab2, H2 = _product_with_cyclic(entry, report, q)
     deg = n * q
-    ok &= check("product_order", f"|G x C_q| = {entry.order * q}", G2.order() == entry.order * q)
-    ok &= check("product_transitive", "G x C_q is transitive on n*q points", G2.is_transitive())
-    ok &= check(
-        "product_stabilizer",
-        "Stab(0) = G' x 1",
-        G2.point_stabilizer(0) == stab2,
-    )
     core2 = normal_core(G2, PermGroup(deg, list(H2.generators)))
-    ok &= check(
-        "product_core",
-        f"|Core(H x 1)| = {report.core_order} (the base core, unchanged)",
-        core2.order() == report.core_order,
-    )
     # the base witness scan must cover every same-order entry of the base degree
     J, J_sub = permutation_pair_of_quotient(entry.group, report.h_class.representative)
-    base_candidates = [e.entry_id for e in catalogue if e.order == J.order()]
-    ok &= check(
-        "base_scan_exhaustive",
-        f"base scan covered all {len(base_candidates)} candidate entries",
-        set(report.scanned) >= set(base_candidates),
-    )
-    rescan = not hgs_types_admitted(J, J_sub, n, catalogue)
-    ok &= check("base_no_match_recheck", "quotient pair matches no base entry", rescan)
+    index = CatalogueIndex(catalogue)
+    base_candidates = {e.entry_id for e in index.same_order(J.order())}
+    checks += [
+        ("product_order", f"|G x C_q| = {entry.order * q}", G2.order() == entry.order * q),
+        ("product_transitive", "G x C_q is transitive on n*q points", G2.is_transitive()),
+        ("product_stabilizer", "Stab(0) = G' x 1", G2.point_stabilizer(0) == stab2),
+        ("product_core", f"|Core(H x 1)| = {report.core_order} (the base core, unchanged)",
+         core2.order() == report.core_order),
+        ("base_scan_exhaustive", f"base scan covered all {len(base_candidates)} candidate entries",
+         set(report.scanned) >= base_candidates),
+        ("base_no_match_recheck", "quotient pair matches no base entry",
+         not hgs_types_admitted(J, J_sub, n, index)),
+    ]
     return ExtensionCertificate(
         base_degree=n,
         base_entry=entry.entry_id,
@@ -511,7 +518,7 @@ def extend_family(
         product_degree=deg,
         product_order=entry.order * q,
         checks=tuple(checks),
-        verified=bool(ok),
+        verified=all(ok for _, _, ok in checks),
         aut_orders=tuple(a * (q - 1) for a in base_aut_orders),
     )
 
@@ -528,31 +535,15 @@ def _extend_arithmetic(prev: ExtensionCertificate, q: int) -> ExtensionCertifica
     """
     m = prev.product_degree
     checks = []
-
-    def check(name, statement, ok):
-        checks.append((name, statement, bool(ok)))
-        return ok
-
-    ok = True
-    ok &= check("prime", f"q = {q} is prime", is_prime(q))
-    ok &= check("gcd", f"gcd(q-1, m) = gcd({q - 1}, {m}) = 1", math.gcd(q - 1, m) == 1)
-    ok &= check("q_exceeds_m", f"q = {q} > m = {m}", q > m)
-    for i, a in enumerate(prev.aut_orders):
-        ok &= check(
-            "aut_coprime",
-            f"q = {q} does not divide the order-{m} automorphism order {a}",
-            a % q != 0,
-        )
-    check(
+    _check_prime(checks, q, "m", m, [
+        (f"the order-{m} automorphism order {a}", a) for a in prev.aut_orders
+    ])
+    checks.append((
         "product_structure",
         "order, degree, stabilizer and core scale by the direct product "
         "(verified concretely at the first extension)",
         True,
-    )
-    if not ok:
-        raise PreconditionError(
-            "extension hypotheses failed: " + "; ".join(s for _, s, o in checks if not o)
-        )
+    ))
     return ExtensionCertificate(
         base_degree=m,
         base_entry=prev.base_entry,

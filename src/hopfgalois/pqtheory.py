@@ -360,7 +360,7 @@ def verify_pq(p: int, q: int) -> PqVerification:
     admits the parallel no-HGS property; (d) entries admitting both types
     propagate both types to all their parallel pairs.
     """
-    from .pipeline import analyze_parallel, build_catalogue, hgs_types_admitted
+    from .pipeline import CatalogueIndex, analyze_parallel, build_catalogue, hgs_types_admitted
 
     params = pq_parameters(p, q)
     n = params.n
@@ -371,6 +371,7 @@ def verify_pq(p: int, q: int) -> PqVerification:
         checks.append((name, bool(ok), detail))
 
     catalogue = build_catalogue(n)
+    index = CatalogueIndex(catalogue)
     cyclic_built, cyc_coll = cyclic_type_transitive_subgroups(params)
     meta_built, meta_coll = (
         metacyclic_type_transitive_subgroups(params) if not params.burnside else ([], [])
@@ -413,13 +414,11 @@ def verify_pq(p: int, q: int) -> PqVerification:
     )
     # match each leftover metacyclic entry to a cyclic-type entry as a pair
     for e in unmatched_meta:
-        partner = None
-        for cand in catalogue:
-            if cand.type_label != cyclic_label or cand.order != e.order:
-                continue
-            if is_pair_isomorphic(e.group, e.stabilizer, cand.group, cand.stabilizer):
-                partner = cand
-                break
+        partner = next((
+            cand for _, cand in index.candidates(e.group)
+            if cand.type_label == cyclic_label
+            and is_pair_isomorphic(e.group, e.stabilizer, cand.group, cand.stabilizer)
+        ), None)
         check(
             "small_metacyclic_pairs_with_cyclic",
             partner is not None,
@@ -435,7 +434,6 @@ def verify_pq(p: int, q: int) -> PqVerification:
     # an equivalence.  Each entry's index-n lattice is run once, for (b) and
     # (c) together: analyze_parallel gives one report per class, in the
     # lattice's order.  The checks of (c) and (d) follow all of (b).
-    matches = {}
     by_id = {e.entry_id: e for e in catalogue}
     entry_types = {}
     later_checks = []
@@ -446,11 +444,11 @@ def verify_pq(p: int, q: int) -> PqVerification:
     def types_of(entry_id):
         if entry_id not in entry_types:
             M = by_id[entry_id]
-            entry_types[entry_id] = hgs_types_admitted(M.group, M.stabilizer, n, catalogue)
+            entry_types[entry_id] = hgs_types_admitted(M.group, M.stabilizer, n, index)
         return entry_types[entry_id]
 
     for e in catalogue:
-        reports = analyze_parallel(e, catalogue, matches=matches)
+        reports = analyze_parallel(e, catalogue, index=index)
         got = matched.get(e.entry_id)
         if got is not None:
             G_fam, tag, info = got

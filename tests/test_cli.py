@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfgalois.cli import main
 
 
@@ -127,6 +129,23 @@ def test_analyze_malformed_exit_2(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(["analyze", str(path), "--cache-dir", str(tmp_path)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("pair", [
+    {"degree": 4, "G": ["(0 1 2 3)"], "H": [[0, 1, 2, 5]]},
+    {"degree": 4, "G": ["(0 1 2 3"], "H": []},
+    {"degree": "4", "G": ["(0 1 2 3)"], "H": []},
+    [4, ["(0 1 2 3)"], []],
+    {"degree": 4, "G": ["(0 1 2 3)"]},
+], ids=["not-a-permutation", "unclosed-cycle", "string-degree", "not-an-object", "missing-key"])
+def test_analyze_bad_pair_file_exit_2(tmp_path, capsys, pair):
+    """A pair file that parses as JSON but holds no valid pair is a usage
+    error naming the file, not a traceback with the mismatch exit code."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, _, err = run(["analyze", str(path), "--cache-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert str(path) in err
 
 
 def test_extend_even_degree_rejected(tmp_path, capsys):

@@ -286,31 +286,34 @@ def test_point_map_degree_55_entry_51():
     assert pair_isomorphic(J, J_sub, entry.group, entry.stabilizer) is not None
 
 
-def test_point_map_no_is_decided_below_the_view_bound():
+def test_point_map_no_is_decided_below_the_view_bound(monkeypatch):
     """Two same-order degree-8 (transitive group, Stab(0)) pairs that no
     point bijection conjugates: the answer is no even when their order
     exceeds the bound on the groups the witness search may enumerate.  A
     yes between such pairs is the point map's own witness, which needs no
     bound either and replays; a pair of any other shape is still held to
     the bound."""
+    import hopfgalois.isomorphism as iso
     from oracles import witness_replays
+
+    monkeypatch.setattr(iso, "DEFAULT_ISO_BOUND", 8)
 
     G, G_sub = _pair(8, ["(4 5)(6 7)", "(0 4 1 5)(2 6 3 7)", "(0 6 1 7)(2 4 3 5)"], ["(4 5)(6 7)"])
     M, M_sub = _pair(8, ["(0 4 2 6)(1 5 3 7)", "(0 4 3 7)(1 5 2 6)"], ["(4 5)(6 7)"])
     assert is_point_stabilizer_pair(G, G_sub) and is_point_stabilizer_pair(M, M_sub)
     assert G.order() == M.order() == 16
     assert point_map(G, M, M_sub) is None
-    assert pair_isomorphic(G, G_sub, M, M_sub, max_order=8) is None
-    witness = pair_isomorphic(G, G_sub, G, G_sub, max_order=8)
+    assert pair_isomorphic(G, G_sub, M, M_sub) is None
+    witness = pair_isomorphic(G, G_sub, G, G_sub)
     assert witness is not None and witness.verified
     assert [m for _, m in witness.mapping] == list(G.generators)
     assert witness_replays(witness.mapping, G, G_sub, G, G_sub)
     trivial = PermGroup(8, [])
     assert not is_point_stabilizer_pair(G, trivial)
     with pytest.raises(ResourceLimitError):
-        pair_isomorphic(G, trivial, G, trivial, max_order=8)
+        pair_isomorphic(G, trivial, G, trivial)
     with pytest.raises(ResourceLimitError):
-        find_isomorphism(G, G, max_order=8)
+        find_isomorphism(G, G)
 
 
 def _regenerated(J):
@@ -329,8 +332,8 @@ def _regenerated(J):
 def test_point_map_witness_depends_on_the_element_set_alone(n, monkeypatch):
     """A quotient pair rebuilt on another generating list of J's element set
     gets the witness J gets against each catalogue entry it matches, with
-    no search on the left-regular actions: the shared match table keys
-    matches by the element set."""
+    no search on the left-regular actions: the ``CatalogueIndex`` keys its
+    quotient memo by the element set."""
     import hopfgalois.isomorphism as iso
     from hopfgalois.pipeline import build_catalogue
     from hopfgalois.subgroups import index_n_subgroup_classes

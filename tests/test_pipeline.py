@@ -380,10 +380,10 @@ def _report_fields(rep):
 @pytest.mark.parametrize("n", [6, 8, 12])
 def test_shared_match_table_changes_no_report(n):
     """The reports analyze_degree hands to ``progress``, whose entries share
-    one match table, equal those of analyze_parallel per entry, and each
-    quotient's match equals one made from scratch for it alone."""
+    one CatalogueIndex, equal those of analyze_parallel per entry, and each
+    quotient's match equals one made from scratch, by a fresh index."""
     from hopfgalois.isomorphism import permutation_pair_of_quotient
-    from hopfgalois.pipeline import _match_quotient, analyze_degree
+    from hopfgalois.pipeline import CatalogueIndex, analyze_degree
     from hopfgalois.subgroups import class_key_of
 
     seen = {}
@@ -398,7 +398,7 @@ def test_shared_match_table_changes_no_report(n):
             if rep.h_class.key == stab_key:
                 continue
             J, J_sub = permutation_pair_of_quotient(entry.group, rep.h_class.representative)
-            match, scanned = _match_quotient(J, J_sub, catalogue)
+            match, scanned = CatalogueIndex(catalogue).match(J, J_sub)
             assert rep.scanned == scanned
             assert rep.match == match
 

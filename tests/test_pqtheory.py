@@ -116,14 +116,19 @@ def test_parallel_pairs_admit_the_types_of_their_match():
     matched; the oracle is the pair's own quotient scanned against the
     catalogue, for every report of every degree-21 entry."""
     from hopfgalois.isomorphism import permutation_pair_of_quotient
-    from hopfgalois.pipeline import analyze_parallel, build_catalogue, hgs_types_admitted
+    from hopfgalois.pipeline import (
+        CatalogueIndex,
+        analyze_parallel,
+        build_catalogue,
+        hgs_types_admitted,
+    )
 
     catalogue = build_catalogue(21)
     by_id = {e.entry_id: e for e in catalogue}
-    matches = {}
+    index = CatalogueIndex(catalogue)
     reports = 0
     for e in catalogue:
-        for rep in analyze_parallel(e, catalogue, matches=matches):
+        for rep in analyze_parallel(e, catalogue, index=index):
             M = by_id[rep.match.entry_id]
             expected = hgs_types_admitted(M.group, M.stabilizer, 21, catalogue)
             J, J_sub = permutation_pair_of_quotient(e.group, rep.h_class.representative)

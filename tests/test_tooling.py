@@ -120,6 +120,15 @@ NO_HGS_DIGESTS = {
     12: "b41c2194e4e4b759fab0ab886e2721be91b33fa11121364f0a952ed152a1d4c5",
 }
 
+# SHA-256 of json.dumps of every report analyze_degree(n) hands to its
+# progress hook, in analysis order, each as [source entry, class key, match
+# entry, match witness mapping, scanned, core order, no_hgs].
+REPORT_DIGESTS = {
+    8: "d451fb28f6a0f9ee49c78c0abbada63ba1a7272c5b5918afe91fc68ec5971211",
+    12: "c51d9cbe0789f116f2386eb5d22fec7f12b918be8f9d7b3196e4ab35ea605a92",
+    21: "8d805cbc2bc7248d5155d756b5063c163f409eb9de94974ccd572b32354f88cf",
+}
+
 # SHA-256 of json.dumps of [U generators, V generators] from
 # hall_decomposition over every transitive class of every holomorph of
 # degree n, in catalogue and lattice order.
@@ -146,6 +155,30 @@ def test_no_hgs_reports_are_pinned(n):
     catalogue, witnesses = analyze_degree(n)
     reports = [r.to_json() for e in catalogue for r in witnesses[e.entry_id]]
     assert _sha256(json.dumps(reports, sort_keys=True)) == NO_HGS_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(REPORT_DIGESTS))
+def test_all_reports_are_pinned(n):
+    """Every report of the degree-n row, matched ones included, is the
+    pinned one: its match, the match's witness, and the ``scanned`` prefix of
+    same-order entries up to the match."""
+    from hopfgalois.pipeline import analyze_degree
+
+    def fields(rep):
+        match = rep.match
+        return [
+            rep.source_entry,
+            list(rep.h_class.key),
+            None if match is None else match.entry_id,
+            None if match is None else [[list(g), list(m)] for g, m in match.witness.mapping],
+            list(rep.scanned),
+            rep.core_order,
+            rep.no_hgs,
+        ]
+
+    rows = []
+    analyze_degree(n, progress=lambda entry, reports: rows.extend(map(fields, reports)))
+    assert _sha256(json.dumps(rows)) == REPORT_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", sorted(HALL_DIGESTS))
