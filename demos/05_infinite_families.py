@@ -16,12 +16,12 @@ from hopfgalois import find_extension_prime, groups_of_order
 from hopfgalois.holomorph import automorphism_group
 
 for n in [3, 9, 27]:
-    q = find_extension_prime(n, n)
+    q = find_extension_prime(n)
     print(f"n = {n:2d}: least usable prime q = {q} (gcd(q-1, n) = 1)")
 
 print()
 n = 27
-q = find_extension_prime(n, n)
+q = find_extension_prime(n)
 print(f"hypothesis audit for extending a degree-{n} witness by q = {q}:")
 print(f"  q prime: True, q > n: {q > n}, gcd(q-1, n) = 1: True")
 for Y in groups_of_order(n).groups:

@@ -36,7 +36,6 @@ from .holomorph import (
 from .isomorphism import (
     PairWitness,
     find_isomorphism,
-    is_pair_isomorphic,
     pair_isomorphic,
     permutation_pair_of_quotient,
 )

@@ -138,13 +138,20 @@ def fixtures_path(cache_dir: Path) -> Path:
 
 
 def load_fixtures(cache_dir: Path) -> dict:
+    """The stored fixtures; a missing or damaged store (no parse, no JSON
+    object, an entry without a value) reads as empty and is seeded afresh."""
     path = fixtures_path(cache_dir)
     if not path.exists():
         return {}
     try:
-        return json.loads(path.read_text())
+        fixtures = json.loads(path.read_text())
     except json.JSONDecodeError:
         return {}
+    if not isinstance(fixtures, dict):
+        return {}
+    if not all(isinstance(e, dict) and "value" in e for e in fixtures.values()):
+        return {}
+    return fixtures
 
 
 def record_fixture(cache_dir: Path, key: str, value) -> tuple[bool, dict | None]:

@@ -28,68 +28,85 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _add_common(p):
-    p.add_argument("--cache-dir", default=None, help="cache directory (default: env or ~/.cache/hopfgalois)")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                   help="largest group order the enumerations may touch")
-    p.add_argument("--resume", action="store_true",
-                   help="read back the report log of an earlier run and analyse only the entries "
-                        "it lacks (cached catalogues are reused with or without it)")
-    p.add_argument("--seed-fixtures", action="store_true",
-                   help="record derived values in the fixture store and compare on later runs")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="hopfgalois", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    cache_dir = dict(default=cachemod.default_cache_dir(),
+                     help="cache directory (default: env or ~/.cache/hopfgalois)")
+    max_order = dict(type=_positive_int, default=DEFAULT_MAX_ORDER,
+                     help="largest group order the enumerations may touch")
+    resume = dict(action="store_true",
+                  help="read back the report log of an earlier run and analyse only the entries "
+                       "it lacks (cached catalogues are reused with or without it)")
+    seed_fixtures = dict(action="store_true",
+                         help="record derived values in the fixture store and compare on later runs")
 
     p = sub.add_parser("catalog", help="build the transitive-subgroup catalogue for a degree")
     p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--cache-dir", **cache_dir)
+    p.add_argument("--max-order", **max_order)
+    p.add_argument("--seed-fixtures", **seed_fixtures)
+    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
     p = sub.add_parser("no-hgs", help="per-degree (classes, no-HGS) summary")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--emit-witnesses", action="store_true")
-    _add_common(p)
+    p.add_argument("--cache-dir", **cache_dir)
+    p.add_argument("--max-order", **max_order)
+    p.add_argument("--resume", **resume)
+    p.add_argument("--seed-fixtures", **seed_fixtures)
+    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
 
     p = sub.add_parser("verify-pq", help="verify the closed pq-degree theory")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--format", choices=["json", "text"], default="text")
 
     p = sub.add_parser("analyze", help="analyze one (degree, G, H) pair file")
     p.add_argument("pair_file")
-    _add_common(p)
+    p.add_argument("--cache-dir", **cache_dir)
+    p.add_argument("--max-order", **max_order)
+    p.add_argument("--format", choices=["json", "text"], default="text")
 
     p = sub.add_parser("extend", help="extend a no-HGS witness by one or more primes")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--entry", type=int, required=True)
     p.add_argument("--auto-prime", action="store_true")
     p.add_argument("--primes", default=None, help="comma-separated primes")
-    _add_common(p)
+    p.add_argument("--cache-dir", **cache_dir)
+    p.add_argument("--max-order", **max_order)
+    p.add_argument("--resume", **resume)
+    p.add_argument("--format", choices=["json", "text"], default="text")
     return ap
+
+
+def _fixture_drifted(args, key: str, value, label: str) -> bool:
+    """Record ``value`` under ``key`` in the fixture store on first sight,
+    else compare; True, after a message naming ``label``, on a mismatch."""
+    same, prev = cachemod.record_fixture(cachemod.resolve_cache_dir(args.cache_dir), key, value)
+    if not same:
+        print(f"fixture mismatch: {label} now {value}, recorded {prev['value']}", file=sys.stderr)
+    return not same
 
 
 def cmd_catalog(args) -> int:
     from .pipeline import build_catalogue
 
-    catalogue = build_catalogue(
-        args.degree,
-        cache_dir=args.cache_dir or cachemod.default_cache_dir(),
-        resume=args.resume,
-        max_order=args.max_order,
-    )
+    catalogue = build_catalogue(args.degree, cache_dir=args.cache_dir, max_order=args.max_order)
     count = len(catalogue)
-    if args.seed_fixtures:
-        cache_path = cachemod.resolve_cache_dir(args.cache_dir)
-        same, prev = cachemod.record_fixture(cache_path, f"catalog/degree{args.degree}", count)
-        if not same:
-            print(
-                f"fixture mismatch: degree {args.degree} now {count}, recorded {prev['value']}",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFICATION
+    key = f"catalog/degree{args.degree}"
+    if args.seed_fixtures and _fixture_drifted(args, key, count, f"degree {args.degree}"):
+        return EXIT_VERIFICATION
     if args.format == "json":
         print(json.dumps({"degree": args.degree, "classes": count}))
     elif args.format == "csv":
@@ -103,20 +120,13 @@ def cmd_no_hgs(args) -> int:
     from .pipeline import analyze_degree, degree_summary
 
     catalogue, witnesses = analyze_degree(
-        args.degree,
-        cache_dir=args.cache_dir or cachemod.default_cache_dir(),
-        resume=args.resume,
-        max_order=args.max_order,
+        args.degree, cache_dir=args.cache_dir, resume=args.resume, max_order=args.max_order
     )
     summary = degree_summary(args.degree, catalogue, witnesses)
-    if args.seed_fixtures:
-        cache_path = cachemod.resolve_cache_dir(args.cache_dir)
-        key = f"no-hgs/degree{args.degree}"
-        value = [summary.total_transitive_classes, summary.no_hgs_entries]
-        same, prev = cachemod.record_fixture(cache_path, key, value)
-        if not same:
-            print(f"fixture mismatch: {key} now {value}, recorded {prev['value']}", file=sys.stderr)
-            return EXIT_VERIFICATION
+    key = f"no-hgs/degree{args.degree}"
+    value = [summary.total_transitive_classes, summary.no_hgs_entries]
+    if args.seed_fixtures and _fixture_drifted(args, key, value, key):
+        return EXIT_VERIFICATION
     row = (summary.degree, summary.total_transitive_classes, summary.no_hgs_entries)
     if args.format == "json":
         obj = {
@@ -205,11 +215,8 @@ def cmd_analyze(args) -> int:
     if G.order() % degree != 0 or G.order() // H.order() != degree:
         raise PreconditionError(f"H must have index {degree} in G")
     J, J_sub = permutation_pair_of_quotient(G, H)
-    catalogue = build_catalogue(
-        degree, cache_dir=args.cache_dir or cachemod.default_cache_dir(),
-        resume=args.resume, max_order=args.max_order,
-    )
-    types = hgs_types_admitted(J, J_sub, degree, catalogue)
+    catalogue = build_catalogue(degree, cache_dir=args.cache_dir, max_order=args.max_order)
+    types = hgs_types_admitted(J, J_sub, catalogue)
     result = {
         "degree": degree,
         "core_order": G.order() // J.order(),
@@ -245,14 +252,11 @@ def cmd_extend(args) -> int:
                 f"--primes must be comma-separated integers: {args.primes!r}"
             ) from None
     elif args.auto_prime:
-        primes = [find_extension_prime(args.degree, args.degree)]
+        primes = [find_extension_prime(args.degree)]
     else:
         raise PreconditionError("need --auto-prime or --primes")
     catalogue, witnesses = analyze_degree(
-        args.degree,
-        cache_dir=args.cache_dir or cachemod.default_cache_dir(),
-        resume=args.resume,
-        max_order=args.max_order,
+        args.degree, cache_dir=args.cache_dir, resume=args.resume, max_order=args.max_order
     )
     entry = next((e for e in catalogue if e.entry_id == args.entry), None)
     if entry is None:

@@ -25,15 +25,7 @@ class UnsupportedOrderError(PreconditionError):
 
 
 class ResourceLimitError(HopfGaloisError):
-    """A configured size or time bound was exceeded.
-
-    ``partial`` may carry whatever progress was made so interrupted
-    enumerations can be resumed or inspected.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A configured size bound was exceeded."""
 
 
 class VerificationError(HopfGaloisError):

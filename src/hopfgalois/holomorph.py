@@ -35,10 +35,10 @@ class AutomorphismGroup:
         return len(self.maps)
 
 
-def automorphism_group(N: AbstractGroup, max_order: int = AUT_ORDER_BOUND) -> AutomorphismGroup:
-    if N.order > max_order:
+def automorphism_group(N: AbstractGroup) -> AutomorphismGroup:
+    if N.order > AUT_ORDER_BOUND:
         raise ResourceLimitError(
-            f"automorphism search bound exceeded: |N| = {N.order} > {max_order}"
+            f"automorphism search bound exceeded: |N| = {N.order} > {AUT_ORDER_BOUND}"
         )
     return _automorphism_group_cached(N.table)
 
@@ -75,8 +75,8 @@ class Holomorph:
         }
 
 
-def holomorph(N: AbstractGroup, max_order: int = AUT_ORDER_BOUND) -> Holomorph:
-    aut = automorphism_group(N, max_order)
+def holomorph(N: AbstractGroup) -> Holomorph:
+    aut = automorphism_group(N)
     lam = regular_representation(N)
     gens = list(lam.generators) + list(aut.group.generators)
     group = PermGroup(max(N.order, 1), gens)

@@ -20,8 +20,7 @@ one route, ``_regular_search``: it views both groups, held to an order
 bound, and searches the left-regular actions (``homsearch.isomorphisms``),
 with the generating sequence adapted to the designated subgroup, if any,
 so the constraint prunes instead of multiplying work; the map it finds
-is re-verified by replay.  ``is_pair_isomorphic`` is the verdict of
-``pair_isomorphic``.
+is re-verified by replay.
 """
 
 from __future__ import annotations
@@ -345,18 +344,6 @@ def pair_isomorphic(
         s_inv = inverse(s)
         return PairWitness(tuple((compose(s_inv, compose(m, s)), m) for m in M.generators), True)
     return _regular_search(G, G_sub, M, M_sub)
-
-
-def is_pair_isomorphic(
-    G: PermGroup,
-    G_sub: PermGroup,
-    M: PermGroup,
-    M_sub: PermGroup,
-) -> bool:
-    """Whether ``pair_isomorphic`` finds a witness, for callers that read
-    only the verdict.  On two (transitive group, Stab(0)) pairs the witness
-    costs two compositions per generator of M beyond the point map."""
-    return pair_isomorphic(G, G_sub, M, M_sub) is not None
 
 
 def permutation_pair_of_quotient(G: PermGroup, H: PermGroup):

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from . import cache as cachemod
 from ._numtheory import is_prime
 from .engine import view_of
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .groups import groups_of_order
-from .holomorph import holomorph
+from .holomorph import automorphism_group, holomorph
 from .isomorphism import (
     PairWitness,
-    is_pair_isomorphic,
     is_point_stabilizer_pair,
     pair_isomorphic,
     permutation_pair_of_quotient,
@@ -361,12 +360,7 @@ def detect_no_hgs(
 
 
 def hgs_types_admitted(
-    G: PermGroup,
-    G_sub: PermGroup,
-    n: int,
-    catalogue: list[CatalogueEntry] | CatalogueIndex | None = None,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
+    G: PermGroup, G_sub: PermGroup, catalogue: list[CatalogueEntry] | CatalogueIndex
 ) -> set:
     """Labels of the types N whose catalogue holds a pair-isomorphic entry.
 
@@ -377,12 +371,12 @@ def hgs_types_admitted(
     """
     if not is_point_stabilizer_pair(G, G_sub):
         G, G_sub = permutation_pair_of_quotient(G, G_sub)
-    if catalogue is None:
-        catalogue = build_catalogue(n, max_order=max_order)
     index = catalogue if isinstance(catalogue, CatalogueIndex) else CatalogueIndex(catalogue)
     out = set()
     for _, cand in index.candidates(G):
-        if cand.type_label not in out and is_pair_isomorphic(G, G_sub, cand.group, cand.stabilizer):
+        if cand.type_label in out:
+            continue
+        if pair_isomorphic(G, G_sub, cand.group, cand.stabilizer) is not None:
             out.add(cand.type_label)
     return out
 
@@ -390,16 +384,17 @@ def hgs_types_admitted(
 # -- infinite families -----------------------------------------------------
 
 
-def find_extension_prime(n: int, lower: int, *, cap: int = 1_000_000) -> int:
-    """Least prime q > max(lower, n) with gcd(q-1, n) = 1, by trial search."""
+def find_extension_prime(n: int) -> int:
+    """Least prime q > n with gcd(q-1, n) = 1, by trial search.
+
+    One exists for odd n: by Dirichlet's theorem some prime q > n has
+    q = 2 (mod n), and then q - 1 = 1 (mod n)."""
     if n < 3 or n % 2 == 0:
         raise PreconditionError("extension primes are defined for odd n >= 3")
-    q = max(lower, n) + 1
-    while q <= cap:
-        if is_prime(q) and math.gcd(q - 1, n) == 1:
-            return q
+    q = n + 1
+    while not (is_prime(q) and math.gcd(q - 1, n) == 1):
         q += 1
-    raise ResourceLimitError(f"no extension prime below {cap} for n = {n}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -467,8 +462,6 @@ def extend_family(
     report: ParallelReport,
     q: int,
     catalogue: list[CatalogueEntry],
-    *,
-    base_aut_orders: tuple | None = None,
 ) -> ExtensionCertificate:
     """Extend a no-HGS witness of odd degree n to one of degree n*q.
 
@@ -483,15 +476,10 @@ def extend_family(
     if not report.no_hgs or report.source_entry != entry.entry_id:
         raise PreconditionError("extend_family needs a no-HGS witness report for the entry")
     checks = [("odd_degree", f"n = {n} is odd", n % 2 == 1 and n >= 3)]
-    if base_aut_orders is None:
-        from .holomorph import automorphism_group
-
-        base_aut_orders = tuple(
-            automorphism_group(Y).order() for Y in groups_of_order(n).groups
-        )
-    labels = [Y.label for Y in groups_of_order(n).groups]
+    base_types = groups_of_order(n).groups
+    base_aut_orders = tuple(automorphism_group(Y).order() for Y in base_types)
     _check_prime(checks, q, "n", n, [
-        (f"|Aut({label})| = {a}", a) for label, a in zip(labels, base_aut_orders)
+        (f"|Aut({Y.label})| = {a}", a) for Y, a in zip(base_types, base_aut_orders)
     ])
     G2, stab2, H2 = _product_with_cyclic(entry, report, q)
     deg = n * q
@@ -509,7 +497,7 @@ def extend_family(
         ("base_scan_exhaustive", f"base scan covered all {len(base_candidates)} candidate entries",
          set(report.scanned) >= base_candidates),
         ("base_no_match_recheck", "quotient pair matches no base entry",
-         not hgs_types_admitted(J, J_sub, n, index)),
+         not hgs_types_admitted(J, J_sub, index)),
     ]
     return ExtensionCertificate(
         base_degree=n,

@@ -23,7 +23,7 @@ from ._numtheory import crt, divisors, factorize, is_prime, multiplicative_order
 from .errors import PreconditionError, VerificationError
 from .groups import groups_of_order
 from .holomorph import Holomorph, _s_power, automorphism_from_images, holomorph
-from .isomorphism import is_pair_isomorphic
+from .isomorphism import pair_isomorphic
 from .permgroup import PermGroup
 from .perms import compose, make_perm, power
 from .subgroups import all_subgroup_classes, class_key_of, classify_index_n
@@ -417,7 +417,7 @@ def verify_pq(p: int, q: int) -> PqVerification:
         partner = next((
             cand for _, cand in index.candidates(e.group)
             if cand.type_label == cyclic_label
-            and is_pair_isomorphic(e.group, e.stabilizer, cand.group, cand.stabilizer)
+            and pair_isomorphic(e.group, e.stabilizer, cand.group, cand.stabilizer) is not None
         ), None)
         check(
             "small_metacyclic_pairs_with_cyclic",
@@ -444,7 +444,7 @@ def verify_pq(p: int, q: int) -> PqVerification:
     def types_of(entry_id):
         if entry_id not in entry_types:
             M = by_id[entry_id]
-            entry_types[entry_id] = hgs_types_admitted(M.group, M.stabilizer, n, index)
+            entry_types[entry_id] = hgs_types_admitted(M.group, M.stabilizer, index)
         return entry_types[entry_id]
 
     for e in catalogue:

@@ -225,8 +225,7 @@ class _Lattice:
     def __init__(self, G: PermGroup, order_divides=None, max_order=DEFAULT_MAX_ORDER):
         if G.order() > max_order:
             raise ResourceLimitError(
-                f"subgroup enumeration bound exceeded: |G| = {G.order()} > {max_order}",
-                partial=None,
+                f"subgroup enumeration bound exceeded: |G| = {G.order()} > {max_order}"
             )
         self.G = G
         self.view = view_of(G)
@@ -416,7 +415,7 @@ def _partition(k: int, joined) -> list[int]:
     return [labels.setdefault(find(i), len(labels)) for i in range(k)]
 
 
-def _class_moves(G: PermGroup, n: int, classes, actions, max_order) -> list[tuple]:
+def _class_moves(G: PermGroup, n: int, classes, actions) -> list[tuple]:
     """For each core-free class K of index d = G.degree other than the class
     of S = Stab_G(0) with a point map s_K onto G's action rho_K on the
     cosets of K: the permutation pi_K of the index-n ``classes`` (whose
@@ -432,7 +431,7 @@ def _class_moves(G: PermGroup, n: int, classes, actions, max_order) -> list[tupl
     else:
         others = (
             (K, coset_action(G, K.representative))
-            for K in index_n_subgroup_classes(G, d, max_order=max_order)
+            for K in index_n_subgroup_classes(G, d)
         )
     index_of = {c.key: i for i, c in enumerate(classes)}
     moves = [tuple(range(len(classes)))]
@@ -467,9 +466,7 @@ class ClassificationReport:
         return (self.conjugacy_classes, self.aut_orbits, self.iso_classes)
 
 
-def classify_index_n(
-    G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER, classes=None
-) -> ClassificationReport:
+def classify_index_n(G: PermGroup, n: int, *, classes=None) -> ClassificationReport:
     """Classify the index-n subgroups of G.  ``classes``, when given, must be
     ``index_n_subgroup_classes(G, n)``, which is then not run again.
 
@@ -497,7 +494,7 @@ def classify_index_n(
     from .permgroup import coset_action
 
     if classes is None:
-        classes = index_n_subgroup_classes(G, n, max_order=max_order)
+        classes = index_n_subgroup_classes(G, n)
     k = len(classes)
     reps = [c.representative for c in classes]
     if G.is_transitive():
@@ -531,7 +528,7 @@ def classify_index_n(
             return False
         if moves is None:
             # in the regular action S is trivial: every automorphism keeps it
-            moves = _class_moves(G, n, classes, actions, max_order) if A is G else [tuple(range(k))]
+            moves = _class_moves(G, n, classes, actions) if A is G else [tuple(range(k))]
         return any(maps.exists(i, pi[j]) for pi in moves)
 
     orbit_label = _partition(k, joined)

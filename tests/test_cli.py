@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_unsupported_degree_exit_2(tmp_path, capsys):
 
 def test_verify_pq_burnside_pass(tmp_path, capsys):
     code, out, _ = run(
-        ["verify-pq", "--p", "5", "--q", "3", "--cache-dir", str(tmp_path)], capsys
+        ["verify-pq", "--p", "5", "--q", "3"], capsys
     )
     assert code == 0
     assert "pass" in out
@@ -70,7 +71,7 @@ def test_verify_pq_burnside_pass(tmp_path, capsys):
 
 def test_verify_pq_usage_error(tmp_path, capsys):
     code, _, err = run(
-        ["verify-pq", "--p", "3", "--q", "3", "--cache-dir", str(tmp_path)], capsys
+        ["verify-pq", "--p", "3", "--q", "3"], capsys
     )
     assert code == 2
 
@@ -182,3 +183,96 @@ def test_extend_bad_primes_rejected_before_analysis(tmp_path, capsys, monkeypatc
     )
     assert code == 2
     assert "--primes" in err
+
+
+@pytest.mark.parametrize("store", [
+    [1, 2, 3],
+    {"catalog/degree4": {"computed_at": "2024-01-01T00:00:00Z"}},
+], ids=["not-an-object", "entry-without-value"])
+def test_damaged_fixture_store_starts_afresh(tmp_path, capsys, store):
+    """A fixture store that parses but is damaged is seeded afresh, as an
+    unparseable one is, not a traceback with the mismatch exit code."""
+    (tmp_path / "fixtures.json").write_text(json.dumps(store))
+    code, out, _ = run(["catalog", "--degree", "4", "--cache-dir", str(tmp_path),
+                        "--seed-fixtures"], capsys)
+    assert code == 0 and "8 transitive subgroup classes" in out
+    fixtures = json.loads((tmp_path / "fixtures.json").read_text())
+    assert fixtures["catalog/degree4"]["value"] == 8
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_order_must_be_positive(tmp_path, capsys, value):
+    """--max-order below 1 is a usage error naming the flag, not a resource limit."""
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--degree", "4", "--cache-dir", str(tmp_path), "--max-order", value])
+    assert exc.value.code == 2
+    assert "--max-order" in capsys.readouterr().err
+
+
+_VERIFY_PQ = ["verify-pq", "--p", "7", "--q", "3"]
+_EXTEND = ["extend", "--degree", "5", "--entry", "0", "--auto-prime"]
+
+
+@pytest.mark.parametrize("command, retired", [
+    (_VERIFY_PQ, ["--cache-dir", "cache"]),
+    (_VERIFY_PQ, ["--max-order", "1"]),
+    (_VERIFY_PQ, ["--resume"]),
+    (_VERIFY_PQ, ["--seed-fixtures"]),
+    (_VERIFY_PQ, ["--format", "csv"]),
+    (["analyze", "pair.json"], ["--resume"]),
+    (["analyze", "pair.json"], ["--seed-fixtures"]),
+    (["analyze", "pair.json"], ["--format", "csv"]),
+    (_EXTEND, ["--seed-fixtures"]),
+    (_EXTEND, ["--format", "csv"]),
+    (["catalog", "--degree", "4"], ["--resume"]),
+], ids=lambda argv: "=".join(argv) if argv[0].startswith("--") else argv[0])
+def test_retired_flags_rejected(capsys, command, retired):
+    """A flag or value that no command reads is a usage error naming it,
+    not silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(command + retired)
+    assert exc.value.code == 2
+    assert retired[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--degree", "3"],
+    ["no-hgs", "--degree", "3"],
+    ["analyze", "PAIR"],
+    ["extend", "--degree", "3", "--entry", "0", "--primes", "7"],
+], ids=lambda argv: argv[0])
+def test_kept_flags_reach_their_reader(tmp_path, capsys, monkeypatch, argv):
+    """--cache-dir, --max-order and (where a command has it) --resume reach
+    build_catalogue or analyze_degree, with the environment's cache
+    directory as the default."""
+    import hopfgalois.pipeline as pipeline
+    from hopfgalois.subgroups import DEFAULT_MAX_ORDER
+
+    seen = []
+
+    def build_catalogue(n, **kwargs):
+        seen.append(kwargs)
+        return []
+
+    def analyze_degree(n, **kwargs):
+        seen.append(kwargs)
+        return [], {}
+
+    monkeypatch.setattr(pipeline, "build_catalogue", build_catalogue)
+    monkeypatch.setattr(pipeline, "analyze_degree", analyze_degree)
+    monkeypatch.setenv("HOPFGALOIS_CACHE_DIR", str(tmp_path / "env"))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"degree": 3, "G": ["(0 1 2)"], "H": []}))
+    argv = [str(pair) if a == "PAIR" else a for a in argv]
+    resume = argv[0] in ("no-hgs", "extend")
+    main(argv)
+    main(argv + ["--cache-dir", str(tmp_path / "flag"), "--max-order", "99"]
+         + ["--resume"] * resume)
+    capsys.readouterr()
+    expected = [
+        {"cache_dir": tmp_path / "env", "max_order": DEFAULT_MAX_ORDER},
+        {"cache_dir": tmp_path / "flag", "max_order": 99},
+    ]
+    if resume:
+        expected[0]["resume"], expected[1]["resume"] = False, True
+    assert [dict(kw, cache_dir=Path(kw["cache_dir"])) for kw in seen] == expected

@@ -3,7 +3,6 @@ import pytest
 from hopfgalois.groups import groups_of_order, regular_representation
 from hopfgalois.isomorphism import (
     find_isomorphism,
-    is_pair_isomorphic,
     is_point_stabilizer_pair,
     pair_isomorphic,
     permutation_pair_of_quotient,
@@ -559,37 +558,3 @@ def test_two_block_maps_equal_automorphisms_keeping_stab0(degree, entry_id):
     }
     k = len(classes)
     assert {(i, j) for i in range(k) for j in range(k) if maps.exists(i, j)} == reached
-
-
-@pytest.mark.parametrize("n", [4, 6, 8])
-def test_verdict_equals_witness_search(n):
-    """is_pair_isomorphic equals pair_isomorphic(...) is not None on every
-    same-order ordered pair of catalogue entries, and of each distinct
-    index-n quotient pair against the entries; and on pairs whose
-    designated subgroup is no point stabilizer."""
-    from hopfgalois.pipeline import build_catalogue
-    from hopfgalois.subgroups import index_n_subgroup_classes
-
-    catalogue = build_catalogue(n)
-    sources = {e.group.elements(): (e.group, e.stabilizer) for e in catalogue}
-    others = []
-    for e in catalogue:
-        for c in index_n_subgroup_classes(e.group, n):
-            J, J_sub = permutation_pair_of_quotient(e.group, c.representative)
-            sources.setdefault(J.elements(), (J, J_sub))
-            if not is_point_stabilizer_pair(e.group, c.representative):
-                others.append((e.group, c.representative))
-    yes = no = 0
-    for G, G_sub in sources.values():
-        for m in catalogue:
-            if m.order != G.order():
-                continue
-            verdict = is_pair_isomorphic(G, G_sub, m.group, m.stabilizer)
-            assert verdict == (pair_isomorphic(G, G_sub, m.group, m.stabilizer) is not None)
-            yes += verdict
-            no += not verdict
-    assert yes and no
-    for G, G_sub in others[:20]:
-        for M, M_sub in others[:20]:
-            assert is_pair_isomorphic(G, G_sub, M, M_sub) == (
-                pair_isomorphic(G, G_sub, M, M_sub) is not None)

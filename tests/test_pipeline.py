@@ -174,18 +174,18 @@ def test_emit_witnesses_fresh_and_resumed_agree(tmp_path, capsys, monkeypatch):
 def test_hgs_types_c15():
     cat = build_catalogue(15)
     reg = next(e for e in cat if e.order == 15)
-    types = hgs_types_admitted(reg.group, reg.stabilizer, 15, cat)
+    types = hgs_types_admitted(reg.group, reg.stabilizer, cat)
     assert types == {"15.0"}
 
 
 def test_find_extension_prime():
-    assert find_extension_prime(27, 27) == 29
-    assert find_extension_prime(9, 9) == 11
-    assert find_extension_prime(3, 3) == 5
+    assert find_extension_prime(27) == 29
+    assert find_extension_prime(9) == 11
+    assert find_extension_prime(3) == 5
     with pytest.raises(PreconditionError):
-        find_extension_prime(8, 8)
+        find_extension_prime(8)
     with pytest.raises(PreconditionError):
-        find_extension_prime(1, 10)
+        find_extension_prime(1)
 
 
 def test_extension_requires_witness():
@@ -341,7 +341,7 @@ def test_hgs_types_admitted_uses_the_quotient():
 
     cat = build_catalogue(4)
     d4 = next(e for e in cat if e.order == 8)
-    expected = hgs_types_admitted(d4.group, d4.stabilizer, 4, cat)
+    expected = hgs_types_admitted(d4.group, d4.stabilizer, cat)
     assert expected
 
     def lift(group):
@@ -351,18 +351,18 @@ def test_hgs_types_admitted_uses_the_quotient():
     G = PermGroup(8, lift(d4.group))
     H = PermGroup(8, lift(d4.stabilizer))
     assert G.order() == 8 and permutation_pair_of_quotient(G, H)[0].order() == 8
-    assert hgs_types_admitted(G, H, 4, cat) == expected
+    assert hgs_types_admitted(G, H, cat) == expected
     # D4 x C2, the central C2 swapping the copies inside the designated subgroup
     swap = bytes([4, 5, 6, 7, 0, 1, 2, 3])
     G = PermGroup(8, lift(d4.group) + [swap])
     H = PermGroup(8, lift(d4.stabilizer) + [swap])
     assert G.order() // permutation_pair_of_quotient(G, H)[0].order() == 2
-    assert hgs_types_admitted(G, H, 4, cat) == expected
+    assert hgs_types_admitted(G, H, cat) == expected
     # a subgroup of Sym(4) fixing 0 of the stabilizer's order, but not in
     # D4, is refused even when no catalogue entry is left to test against
     outside = PermGroup(4, [bytes([0, 2, 1, 3])])
     with pytest.raises(PreconditionError):
-        hgs_types_admitted(d4.group, outside, 4, [e for e in cat if e.order != 8])
+        hgs_types_admitted(d4.group, outside, [e for e in cat if e.order != 8])
 
 
 def _report_fields(rep):
@@ -444,7 +444,7 @@ def test_hgs_types_admitted_searches_no_witness(monkeypatch):
         raise AssertionError("homsearch.isomorphisms was called")
 
     monkeypatch.setattr(iso, "isomorphisms", no_search)
-    assert [hgs_types_admitted(G, G_sub, 8, catalogue) for G, G_sub in pairs] == expected
+    assert [hgs_types_admitted(G, G_sub, catalogue) for G, G_sub in pairs] == expected
 
 
 def test_degree_rows_need_no_generator_image_search(monkeypatch):

@@ -130,8 +130,8 @@ def test_parallel_pairs_admit_the_types_of_their_match():
     for e in catalogue:
         for rep in analyze_parallel(e, catalogue, index=index):
             M = by_id[rep.match.entry_id]
-            expected = hgs_types_admitted(M.group, M.stabilizer, 21, catalogue)
+            expected = hgs_types_admitted(M.group, M.stabilizer, catalogue)
             J, J_sub = permutation_pair_of_quotient(e.group, rep.h_class.representative)
-            assert hgs_types_admitted(J, J_sub, 21, catalogue) == expected
+            assert hgs_types_admitted(J, J_sub, catalogue) == expected
             reports += 1
     assert reports > len(catalogue)

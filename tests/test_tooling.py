@@ -196,3 +196,33 @@ def test_hall_decompositions_are_pinned(n):
             U, V = hall_decomposition(hol, cls.representative)
             rows.append([[list(g) for g in U.generators], [list(g) for g in V.generators]])
     assert _sha256(json.dumps(rows)) == HALL_DIGESTS[n]
+
+
+README_FILE = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_each_commands_flags():
+    """The per-command flag lists in README's CLI section are exactly the
+    arguments of each ``build_parser()`` subcommand, in order, with the
+    ``--format`` choices, so the docs cannot drift from the parser."""
+    import argparse
+    import re
+
+    from hopfgalois.cli import build_parser
+
+    cli_section = README_FILE.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        m.group(1): re.findall(r"`([^`]+)`", m.group(2))
+        for m in re.finditer(r"^\* `([a-z-]+)`: (.*)$", cli_section, re.MULTILINE)
+    }
+
+    def spelled(action):
+        name = (action.option_strings or [action.dest])[0]
+        return f"{name} {'|'.join(action.choices)}" if action.choices else name
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: [spelled(a) for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        for name, parser in sub.choices.items()
+    }
+    assert documented == parsed
