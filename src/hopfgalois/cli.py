@@ -41,7 +41,7 @@ def _positive_int(text: str) -> int:
 def build_parser():
     ap = argparse.ArgumentParser(prog="hopfgalois", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    cache_dir = dict(default=cachemod.default_cache_dir(),
+    cache_dir = dict(type=Path, default=cachemod.default_cache_dir(),
                      help="cache directory (default: env or ~/.cache/hopfgalois)")
     max_order = dict(type=_positive_int, default=DEFAULT_MAX_ORDER,
                      help="largest group order the enumerations may touch")
@@ -90,10 +90,10 @@ def build_parser():
     return ap
 
 
-def _fixture_drifted(args, key: str, value, label: str) -> bool:
+def _fixture_drifted(cache_dir, key: str, value, label: str) -> bool:
     """Record ``value`` under ``key`` in the fixture store on first sight,
     else compare; True, after a message naming ``label``, on a mismatch."""
-    same, prev = cachemod.record_fixture(cachemod.resolve_cache_dir(args.cache_dir), key, value)
+    same, prev = cachemod.record_fixture(cache_dir, key, value)
     if not same:
         print(f"fixture mismatch: {label} now {value}, recorded {prev['value']}", file=sys.stderr)
     return not same
@@ -105,7 +105,7 @@ def cmd_catalog(args) -> int:
     catalogue = build_catalogue(args.degree, cache_dir=args.cache_dir, max_order=args.max_order)
     count = len(catalogue)
     key = f"catalog/degree{args.degree}"
-    if args.seed_fixtures and _fixture_drifted(args, key, count, f"degree {args.degree}"):
+    if args.seed_fixtures and _fixture_drifted(args.cache_dir, key, count, f"degree {args.degree}"):
         return EXIT_VERIFICATION
     if args.format == "json":
         print(json.dumps({"degree": args.degree, "classes": count}))
@@ -125,7 +125,7 @@ def cmd_no_hgs(args) -> int:
     summary = degree_summary(args.degree, catalogue, witnesses)
     key = f"no-hgs/degree{args.degree}"
     value = [summary.total_transitive_classes, summary.no_hgs_entries]
-    if args.seed_fixtures and _fixture_drifted(args, key, value, key):
+    if args.seed_fixtures and _fixture_drifted(args.cache_dir, key, value, key):
         return EXIT_VERIFICATION
     row = (summary.degree, summary.total_transitive_classes, summary.no_hgs_entries)
     if args.format == "json":
