@@ -5,9 +5,11 @@ exposes multiplication, inverses, element orders, conjugacy classes and
 subgroup closures on those indices.  Every view is backed by a sorted
 list of permutations: a subgroup of a symmetric group, or an abstract
 group through its left-regular permutations (see ``AbstractGroup.view``).
-Small views materialize Cayley rows lazily so hot loops run on plain ints.
-Conjugation and left and right multiplication of a list of elements
-compose the permutations themselves, so they build no Cayley row.  Views
+Closures, conjugation and left and right multiplication of a list of
+elements compose the permutations themselves (by ``bytes.translate`` over
+a per-element pad on bytes views), so they build no Cayley row.  Only
+``mul``, which ``commutator`` calls in the derived series, fills rows, and
+only on views of at most ``CAYLEY_LIMIT`` elements.  Views
 also know each element's cycle type and p-th power, computed once per
 conjugacy class when the view has its group's generators (the power is
 carried along the class by the generators' conjugation maps), and derive
@@ -282,12 +284,10 @@ class GroupView:
         return frozenset(els)
 
     def _products(self, gens, xs) -> set:
-        """{g x for g in gens for x in xs}.  Views with Cayley rows step
-        through each generator's row; the others compose with its
-        permutation, by ``bytes.translate`` over its pad when they can."""
-        if self._rows is not None:
-            rows = [self._rows[g] or self._build_row(g) for g in gens]
-            return {row[x] for row in rows for x in xs}
+        """{g x for g in gens for x in xs}, composing with each generator's
+        permutation (by ``bytes.translate`` over its pad on bytes views), so
+        no Cayley row is built: a closure meets few of the products a row
+        would hold."""
         idx, els = self._index, self.elements
         if self._pads is not None:
             pads = [self._pads[g] for g in gens]

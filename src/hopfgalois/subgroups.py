@@ -138,34 +138,34 @@ _SWEEPS_MAXSIZE = 32
 
 
 def _perfect_subgroups(view, cap: int) -> list[frozenset]:
-    """Perfect subgroups of the view's group, at least one in each class of
-    nontrivial proper ones of order at most ``cap``:
-    perfect residuals of two-generated subgroups, then a round that extends
-    each one found by single class representatives.
+    """Perfect subgroups of the view's group, which must be perfect, at
+    least one in each class of nontrivial proper ones of order at most
+    ``cap``: perfect residuals of two-generated subgroups, then a round that
+    extends each one found by single class representatives.
 
     Only the pairs of ``_sweep_pairs`` are closed, one per pair of cyclic
-    subgroups up to conjugacy and swapping.  A closure past half the group
-    is the whole group (Lagrange) and is dropped, and so is one past
-    ``cap`` when that is below half: a wanted perfect P is itself
-    2-generated, so some pair closes to a conjugate of P within the cap.
-    Subgroups whose order forces solvability are dismissed without
-    computing a derived series.
+    subgroups up to conjugacy and swapping.  A perfect group has no proper
+    subgroup of index k <= 4: its action on the k cosets would have a
+    perfect transitive image in the solvable Sym(k).  So a closure, in the
+    sweep or the round, past a fifth of the group is the whole group and is
+    cut off there, and so is one past ``cap`` when that is smaller: a
+    wanted perfect P is itself 2-generated, so some pair closes to a
+    conjugate of P within the cap.  Subgroups whose order forces
+    solvability are dismissed without computing a derived series.
 
     The result depends on the element set alone, and a sweep with a
     larger cap finds a superset of the sets one with a smaller cap finds.
     So the last sweep on each element set is kept in a bounded table, and
-    a call whose cap is no larger than the stored one (or whose stored cap
-    is none) is served from it, keeping the sets of order at most its cap;
-    these are all genuine perfect subgroups, so the lattice's classes do
-    not change."""
-    half = view.size // 2
-    if cap >= half:
-        cap = None
+    a call whose cap, cut at a fifth of the group, is no larger than the
+    stored one is served from it, keeping the sets of order at most its
+    cap; these are all genuine perfect subgroups, so the lattice's classes
+    do not change."""
+    cap = min(cap, view.size // 5)
     key = tuple(view.elements)
     stored = _SWEEPS.pop(key, None)
-    if stored is not None and (stored[0] is None or (cap is not None and stored[0] >= cap)):
+    if stored is not None and stored[0] >= cap:
         _SWEEPS[key] = stored
-        return [P for P in stored[1] if cap is None or len(P) <= cap]
+        return [P for P in stored[1] if len(P) <= cap]
     classes = view.conj_classes()
     orders = view.element_orders()
     found: dict[frozenset, None] = {}
@@ -180,7 +180,7 @@ def _perfect_subgroups(view, cap: int) -> list[frozenset]:
         return R
 
     for x, y in _sweep_pairs(view):
-        S = view.closure([x, y], maxsize=half if cap is None else cap)
+        S = view.closure([x, y], maxsize=cap)
         if S is not None:
             R = residual(S)
             if R is not None and len(R) > 1:
@@ -350,9 +350,9 @@ class _Lattice:
         return out
 
 
-def all_subgroup_classes(G: PermGroup, *, max_order: int = DEFAULT_MAX_ORDER) -> list[SubgroupClass]:
+def all_subgroup_classes(G: PermGroup) -> list[SubgroupClass]:
     """One representative per conjugacy class of subgroups of G."""
-    lat = _Lattice(G, None, max_order)
+    lat = _Lattice(G)
     lat.run()
     return lat.result()
 

@@ -10,7 +10,7 @@ from hopfgalois.permgroup import PermGroup
 from hopfgalois.perms import compose, cycle_type, inverse, make_perm, parse_perm, perm_order, power
 
 from oracles import mulclose
-from test_subgroups import ORACLE_CORPUS
+from test_subgroups import ORACLE_CORPUS, _hol_c2_cubed
 
 
 def _dihedral(m):
@@ -148,12 +148,26 @@ def test_power_map_matches_perm_powers(which):
 
 
 def test_power_map_and_conjugates_build_no_cayley_row():
+    """Power maps and conjugates on a small view; closures from scratch and
+    grown, greedy generators and the normalizer filter on a fresh view of
+    Hol(C2^3) (order 1344, under CAYLEY_LIMIT)."""
     v = view_of(PermGroup(8, [parse_perm("(0 1 2 3)"), parse_perm("(4 5 6)(0 7)")]))
     assert v._rows is not None
     for p in (2, 3, 5):
         v.power_map(p)
     for g in range(v.size):
         v.conjugates(g, range(v.size))
+    assert all(row is None for row in v._rows)
+
+    v = GroupView.from_perm_group(_hol_c2_cubed())
+    assert v.size == 1344 and v._rows is not None
+    gens = v.generators()
+    assert len(v._grow(v.closure(gens[:-1]), gens)) == v.size
+    S = v.closure(gens[:2], maxsize=v.size // 2)
+    assert S is not None and len(S) > 1
+    assert v.greedy_generators(range(v.size), (1,))
+    s_gens = v.greedy_generators(S)
+    assert set(S) <= set(v.normalizing(range(v.size), s_gens, S, ()))
     assert all(row is None for row in v._rows)
 
 
@@ -175,7 +189,7 @@ def test_closure_matches_mulclose(which):
         assert v.closure(seed) == expected
         if rows_before is not None:
             built = {i for i, r in enumerate(v._rows) if r is not None} - rows_before
-            assert built <= set(seed)
+            assert not built
         for maxsize in (len(expected) - 1, len(expected), len(expected) + 1, len(expected) // 2):
             got = v.closure(seed, maxsize=maxsize)
             assert got == (None if len(expected) > maxsize else expected)

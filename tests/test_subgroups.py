@@ -90,7 +90,7 @@ def test_representatives_deterministic():
 def test_resource_bound():
     s5 = PermGroup(5, [parse_perm("(0 1 2 3 4)"), parse_perm("(0 1)")])
     with pytest.raises(ResourceLimitError):
-        all_subgroup_classes(s5, max_order=100)
+        index_n_subgroup_classes(s5, 5, max_order=100)
 
 
 def test_index_n_subgroup_classes():
@@ -165,7 +165,8 @@ def test_perfect_seeding_matches_old_sweep(name, make):
 
 def _pair_closure_keys(view, pairs):
     """The conjugacy keys of the closures <x, y>, None for one past half
-    the group (the sweep's cap when it is not given a smaller one)."""
+    the group.  Half is a bound that keeps the test cheap on groups that
+    need not be perfect; the sweep itself cuts at a fifth of its view."""
     maps = view.generator_conjugation_maps()
     keys = {}
     for x, y in pairs:
@@ -200,18 +201,44 @@ def test_sweep_pairs_on_hol_c2_cubed():
 
 
 def _count_sweep_closures(monkeypatch):
-    """A list that gains an entry for each GroupView.closure call made
-    directly by the perfect-subgroup sweep."""
+    """A list that gains an entry (view size, maxsize) for each
+    GroupView.closure call made directly by the perfect-subgroup sweep."""
     calls = []
     closure = GroupView.closure
 
     def counted(self, seed, maxsize=None):
         if sys._getframe(1).f_code.co_name == "_perfect_subgroups":
-            calls.append(seed)
+            calls.append((self.size, maxsize))
         return closure(self, seed, maxsize)
 
     monkeypatch.setattr(GroupView, "closure", counted)
     return calls
+
+
+@pytest.mark.parametrize("name,make", PERFECT_SEEDING_CASES)
+def test_sweep_cuts_closures_at_a_fifth(name, make, monkeypatch):
+    """Every closure of the perfect-subgroup sweep, in the pair sweep and
+    the residual round, is cut off at a fifth of the sweep's view."""
+    G = make()
+    subgroups._SWEEPS.clear()
+    calls = _count_sweep_closures(monkeypatch)
+    _Lattice(G).seed()
+    assert calls
+    assert all(maxsize is not None and maxsize <= size // 5 for size, maxsize in calls)
+
+
+def test_perfect_groups_have_no_subgroup_of_index_at_most_4():
+    """The fact the sweep's cut rests on, on PSL(2,7), A6 and Hol(C2^3),
+    which is its own perfect residual."""
+    psl = dict(PERFECT_SEEDING_CASES)["PSL(2,7)"]()
+    a6 = PermGroup(6, [parse_perm("(0 1 2)", 6), parse_perm("(1 2 3 4 5)")])
+    assert a6.order() == 360
+    for G in (psl, a6, _hol_c2_cubed()):
+        view = view_of(G)
+        assert len(view.perfect_residual(frozenset(range(view.size)))) == view.size
+        *proper, whole = all_subgroup_classes(G)
+        assert whole.order == G.order()
+        assert all(G.order() // c.order >= 5 for c in proper)
 
 
 def _entry_38():
