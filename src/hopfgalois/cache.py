@@ -70,16 +70,18 @@ def write_catalogue_file(cache_dir: Path, degree: int, type_label: str, payload:
 
 
 def read_catalogue_file(cache_dir: Path, degree: int, type_label: str) -> dict | None:
+    """The file's stamped payload; None for a missing, undecodable, stale
+    or damaged one (no object, no entry list), so the type is rebuilt."""
     path = catalogue_path(cache_dir, degree, type_label)
     if not path.exists():
         return None
     try:
         obj = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
+    except (ValueError, OSError):  # JSONDecodeError and UnicodeDecodeError
         return None
-    if not stamp_valid(obj):
+    if not isinstance(obj, dict) or not stamp_valid(obj):
         return None
-    return obj
+    return obj if isinstance(obj.get("entries"), list) else None
 
 
 def reports_path(cache_dir: Path, degree: int) -> Path:
@@ -96,16 +98,16 @@ def append_report_line(cache_dir: Path, degree: int, record: dict):
 
 
 def read_report_lines(cache_dir: Path, degree: int) -> list[dict]:
-    """The log's lines up to the first that does not parse, such as the
-    torn last line a killed run leaves."""
+    """The log's lines up to the first that does not decode or parse, such
+    as the torn last line a killed run leaves."""
     path = reports_path(cache_dir, degree)
     if not path.exists():
         return []
     out = []
-    for line in path.read_text().splitlines():
+    for line in path.read_bytes().splitlines():
         try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError:
+            out.append(json.loads(line.decode()))
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
             break
     return out
 

@@ -241,7 +241,8 @@ class GroupView:
         """Generators of the subgroup with element set ``subset``: ``seed``
         (elements of it), then each element of ``subset`` that the ones
         before do not generate, by descending order, then ascending index.
-        Each new generator grows the closure of the ones before it."""
+        Each new generator grows the closure of the ones before it, and the
+        last closure must have ``len(subset)`` elements."""
         orders = self.element_orders()
         pool = sorted(subset, key=lambda i: (-orders[i], i))
         target = len(pool)
@@ -254,6 +255,7 @@ class GroupView:
                 continue
             gens.append(x)
             have = self._grow(have, gens)
+        assert len(have) == target
         return tuple(gens)
 
     def closure(self, seed, maxsize=None) -> frozenset | None:

@@ -348,10 +348,13 @@ def pair_isomorphic(
 
 def permutation_pair_of_quotient(G: PermGroup, H: PermGroup):
     """The transitive pair (J, J') of the action of G on the cosets of H:
-    J = G/Core_G(H) acting faithfully on [G:H] points, J' = Stab_J(0)."""
+    J = G/Core_G(H) acting faithfully on [G:H] points, J' = Stab_J(0).
+    |J'| = |G| / (|Core_G(H)| [G:H]) needs no chain of J."""
     action = coset_action(G, H)
     J = action.image
     j_sub = PermGroup(
-        J.degree, [action.image_of_element(h) for h in H.generators], J.order() // J.degree
+        J.degree,
+        [action.image_of_element(h) for h in H.generators],
+        G.order() // (action.kernel_order * J.degree),
     )
     return J, j_sub

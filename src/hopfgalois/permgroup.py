@@ -1,14 +1,15 @@
-"""Permutation groups with deterministic stabilizer chains.
+"""Permutation groups, with deterministic stabilizer chains.
 
-Groups are immutable after construction.  The stabilizer chain is built on
-first use, by the first query that needs it (order, membership, elements,
-point stabilizers, equality, hashing); a group read back from a file and
-never queried costs only its generator check.  A caller that has proved the
-order of a group containing the generators passes it as ``order``, and
-Schreier-Sims stops as soon as the chain reaches it (Seress, *Permutation
-Group Algorithms*, 2003, section 4.5).  Base points are chosen as the least
-moved point at each level, and orbits are swept in sorted order, so orders,
-membership tests and element enumeration are reproducible run to run.
+Groups are immutable after construction.  Elements are closed from the
+generators (``perms.closure_of``).  A stabilizer chain is built on first
+use, and only by the queries the elements do not answer: the order of a
+group never enumerated (size guards, groups read back from a file),
+membership in a group without a view, and point stabilizers.  A caller
+that has proved the order of a group containing the generators passes it
+as ``order``, and Schreier-Sims stops as soon as the chain reaches it
+(Seress, *Permutation Group Algorithms*, 2003, section 4.5).  Base points
+are chosen as the least moved point at each level, and orbits are swept
+in sorted order, so chains are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import repeat
 from .engine import GroupView
 from .errors import PreconditionError
 from .perms import (
+    closure_of,
     compose,
     format_cycles,
     identity,
@@ -153,9 +155,11 @@ def _chain_order(levels):
 class PermGroup:
     """An immutable permutation group on ``degree`` points.
 
-    ``order``, when given, must be the proved order of a group containing
-    the generators; it only lets the chain build stop early, and ``order()``
-    still reports what the chain finds."""
+    ``order()`` counts the elements once they are known, and membership
+    reads the view's index once ``engine.view_of`` has built one; both use
+    the chain otherwise.  ``order``, when given, must be the proved order
+    of a group containing the generators; it only lets the chain build
+    stop early, and ``order()`` still reports what it finds."""
 
     __slots__ = ("degree", "generators", "_bound", "_chain", "_order", "_elements", "_view")
 
@@ -191,7 +195,8 @@ class PermGroup:
 
     def order(self) -> int:
         if self._order is None:
-            self._order = _chain_order(self._levels)
+            els = self._elements
+            self._order = _chain_order(self._levels) if els is None else len(els)
         return self._order
 
     def is_trivial(self) -> bool:
@@ -202,6 +207,8 @@ class PermGroup:
             return False
         if not isinstance(p, (bytes, tuple)):
             p = make_perm(p)
+        if self._view is not None:
+            return p in self._view._index
         for lvl in self._levels:
             img = p[lvl.base]
             if img == lvl.base:
@@ -256,15 +263,9 @@ class PermGroup:
         return stab
 
     def elements(self) -> tuple:
-        """All elements, sorted; cached."""
+        """All elements, sorted; cached.  No chain is built."""
         if self._elements is None:
-            els = [identity(self.degree)]
-            for lvl in reversed(self._levels):
-                reps = list(lvl.transversal.values())
-                els = [compose(rep, e) for rep in reps for e in els]
-            els.sort()
-            self._elements = tuple(els)
-            assert len(self._elements) == self.order()
+            self._elements = tuple(sorted(closure_of(self.generators, self.degree)))
         return self._elements
 
     def conjugate(self, w) -> "PermGroup":

@@ -118,6 +118,34 @@ def orbit_of(perms, points=(0,)) -> list:
     return orbit
 
 
+def closure_of(perms, degree: int) -> list:
+    """The elements of the group generated by ``perms``, each once, found
+    coset by coset (Dimino's algorithm; Butler, *Fundamentals of
+    Permutation Group Algorithms*, 1991).  The elements found so far form
+    a group H; a generator outside it extends H by the left cosets x H
+    reached from the identity by the generators so far, each composed
+    through one padded table of x.  So each element costs one
+    ``bytes.translate``, and only coset representatives are tested."""
+    els = [identity(degree)]
+    members = set(els)
+    gens = []
+    for g in perms:
+        if g in members:
+            continue
+        gens.append(g)
+        sub = els[:]
+        reps = els[:1]
+        for r in reps:
+            for s in gens:
+                x = compose(s, r)
+                if x not in members:
+                    coset = list(left_multiples(x, sub))
+                    els += coset
+                    members.update(coset)
+                    reps.append(x)
+    return els
+
+
 def cycle_decomposition(p) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its least point, sorted."""
     n = len(p)

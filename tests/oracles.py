@@ -714,3 +714,24 @@ def point_stabilizer_generators(G, p):
     for lvl in _build_chain_prefixed(G.degree, G.generators, p)[1:]:
         gens.update(lvl.gens)
     return tuple(sorted(gens))
+
+
+# -- element enumeration through the full Schreier-Sims chain -----------------
+#
+# PermGroup closes its generators to list its elements; this is the chain's
+# enumeration it used before, kept as the reference: one transversal element
+# per level, multiplied out, as many as the chain's orbit product.
+
+
+def chain_elements(G):
+    """G's elements, sorted, from the transversals of its full chain."""
+    from hopfgalois.permgroup import _build_chain, _chain_order
+
+    levels = _build_chain(G.degree, G.generators)
+    els = [identity(G.degree)]
+    for lvl in reversed(levels):
+        reps = list(lvl.transversal.values())
+        els = [compose(rep, e) for rep in reps for e in els]
+    els.sort()
+    assert len(els) == _chain_order(levels)
+    return tuple(els)

@@ -22,6 +22,7 @@ from oracles import (
     brute_order,
     brute_orbit,
     brute_stabilizer,
+    chain_elements,
     mulclose,
     point_stabilizer_generators,
 )
@@ -278,8 +279,9 @@ def test_group_from_elements_reproduces_element_sets():
 
 
 def _chain_corpus(n):
-    """Every degree-n catalogue entry, its Stab(0), and the quotient pairs
-    (J, J') that analyze_parallel builds from its index-n classes."""
+    """Every degree-n catalogue entry, its Stab(0), its index-n class
+    representatives, and the quotient pairs (J, J') that analyze_parallel
+    builds from them."""
     from hopfgalois.isomorphism import permutation_pair_of_quotient
     from hopfgalois.pipeline import build_catalogue
     from hopfgalois.subgroups import class_key_of, index_n_subgroup_classes
@@ -289,28 +291,75 @@ def _chain_corpus(n):
         out += [entry.group, entry.stabilizer]
         stab_key = class_key_of(entry.group, entry.stabilizer)
         for cls in index_n_subgroup_classes(entry.group, n):
+            out.append(cls.representative)
             if cls.key != stab_key:
                 out += permutation_pair_of_quotient(entry.group, cls.representative)
     return out
+
+
+def _dihedral_on_tuples(p):
+    """The dihedral group of order 2p on p > 256 points, whose elements are
+    tuples rather than bytes."""
+    return PermGroup(p, [
+        make_perm([(i + 1) % p for i in range(p)]),
+        make_perm([-i % p for i in range(p)]),
+    ])
+
+
+def test_quotients_and_lattice_results_build_no_chain(monkeypatch):
+    """Quotient pairs take J's order from its elements and bound J' by
+    |G| / (|core| [G:H]), and lattice results take their orders from the
+    greedy generators' closures: over the degree-8 catalogue, neither
+    runs Schreier-Sims once the entry's order is known."""
+    from hopfgalois import permgroup
+    from hopfgalois.isomorphism import permutation_pair_of_quotient
+    from hopfgalois.pipeline import build_catalogue
+    from hopfgalois.subgroups import index_n_subgroup_classes
+
+    groups = [PermGroup(8, e.group.generators) for e in build_catalogue(8)]
+    for G in groups:
+        G.order()
+    calls = []
+    build_chain = permgroup._build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "_build_chain", counted)
+    classes = [index_n_subgroup_classes(G, 8) for G in groups]
+    assert len(calls) == 0
+    pairs = [
+        permutation_pair_of_quotient(G, c.representative)
+        for G, cs in zip(groups, classes)
+        for c in cs
+    ]
+    assert len(calls) == 0
+    assert len(pairs) == sum(map(len, classes)) > len(groups)
 
 
 def _shape(levels):
     return [(lvl.base, lvl.gens) for lvl in levels]
 
 
-@pytest.mark.parametrize("n", [8, 12, 55])
+@pytest.mark.parametrize("n", [*range(4, 13), 55, "tuples"])
 def test_chain_stopped_at_order_matches_full_run(n):
-    """Each group has the order of its full chain.  A chain stopped at the
-    true order, or run with twice it as bound, has the full run's base
-    points and level generators; the groups built with either bound have
-    the true order, its elements and its members; the stabilizers of its
-    least and greatest moved points have the full prefixed chain's
-    generators."""
-    for X in _chain_corpus(n):
+    """Each group has the order of its full chain, and the elements closed
+    from its generators are the chain's, whose count is that order, on a
+    fresh copy too.  A chain stopped at the true order, or run with twice
+    it as bound, has the full run's base points and level generators; the
+    groups built with either bound have the true order, its elements and
+    its members; the stabilizers of its least and greatest moved points
+    have the full prefixed chain's generators."""
+    for X in [_dihedral_on_tuples(257)] if n == "tuples" else _chain_corpus(n):
         d, gens = X.degree, X.generators
         full = _build_chain(d, gens)
         order = _chain_order(full)
         assert X.order() == order
+        want = chain_elements(X)
+        assert X.elements() == want
+        fresh = PermGroup(d, gens)
+        assert fresh.elements() == want and fresh.order() == order
         assert _shape(_build_chain(d, gens, order=order)) == _shape(full)
         assert _shape(_build_chain(d, gens, order=2 * order)) == _shape(full)
         unbounded = PermGroup(d, gens)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hopfgalois.perms import (
+    closure_of,
     compose,
     cycle_decomposition,
     format_cycles,
@@ -103,3 +104,17 @@ def test_left_multiples_compose(degree):
     p = make_perm(rng.sample(range(degree), degree))
     qs = [make_perm(rng.sample(range(degree), degree)) for _ in range(4)]
     assert list(left_multiples(p, qs)) == [compose(p, q) for q in qs]
+
+
+@pytest.mark.parametrize("degree", [1, 6, 300])
+def test_closure_of_lists_each_element_once(degree):
+    """Against the breadth-first closure, with the identity, a repeated
+    generator and one inside the group of the others, on bytes and tuples."""
+    from oracles import mulclose
+
+    shift = make_perm([(i + 1) % degree for i in range(degree)])
+    flip = make_perm([-i % degree for i in range(degree)])
+    gens = [identity(degree), shift, shift, power(shift, 2), flip, compose(flip, shift)]
+    els = closure_of(gens, degree)
+    assert len(els) == len(set(els))
+    assert set(els) == mulclose(gens, degree)

@@ -134,6 +134,38 @@ def test_resume_reanalyses_only_a_torn_entry(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("damage", [
+    lambda text: b"\xff\xfe" + text.encode(),
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "entries"}).encode(),
+], ids=["undecodable", "stamp-without-entries"])
+def test_damaged_catalogue_file_is_rebuilt(tmp_path, damage):
+    """A catalogue file that does not decode, or a stamped one with no
+    entries, reads as a miss: its type is rebuilt and the file rewritten."""
+    fresh = build_catalogue(4, cache_dir=tmp_path)
+    path = next(tmp_path.glob("catalogue_deg4_*.json"))
+    good = path.read_bytes()
+    path.write_bytes(damage(good.decode()))
+    again = build_catalogue(4, cache_dir=tmp_path)
+    assert [e.to_json() for e in again] == [e.to_json() for e in fresh]
+    assert path.read_bytes() == good
+    path.write_bytes(damage(good.decode()))
+    assert main(["no-hgs", "--degree", "4", "--cache-dir", str(tmp_path)]) == 0
+    assert path.read_bytes() == good
+
+
+def test_resume_keeps_the_lines_before_undecodable_bytes(tmp_path, monkeypatch):
+    """A log whose tail holds bytes that do not decode is read up to them,
+    as a torn line is: resume redoes only the entries past them."""
+    first = detect_no_hgs(6, cache_dir=tmp_path)
+    log = cache.reports_path(tmp_path, 6)
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:-2]) + b"\xff" + lines[-2][1:] + lines[-1])
+    calls = _count_analyses(monkeypatch)
+    assert detect_no_hgs(6, cache_dir=tmp_path, resume=True) == first
+    assert len(calls) == 2
+    assert cache.reports_path(tmp_path, 6).read_bytes() == b"".join(lines)
+
+
 def test_resume_restarts_a_stale_log(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "ALGORITHM_VERSION", "0-stale")
     first = detect_no_hgs(6, cache_dir=tmp_path)
