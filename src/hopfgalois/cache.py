@@ -14,11 +14,16 @@ import os
 import time
 from pathlib import Path
 
+from .errors import PreconditionError
+
 GROUPLIB_VERSION = "1"
 ALGORITHM_VERSION = "1"
 CACHE_FORMAT_VERSION = 1
 
 ENV_CACHE_DIR = "HOPFGALOIS_CACHE_DIR"
+
+# what decoding a record that parses but has the wrong shape raises
+_DECODE_ERRORS = (LookupError, TypeError, ValueError, PreconditionError)
 
 
 def default_cache_dir() -> Path:
@@ -42,12 +47,8 @@ def _stamp() -> dict:
     }
 
 
-def stamp_valid(obj: dict) -> bool:
-    return (
-        obj.get("version") == CACHE_FORMAT_VERSION
-        and obj.get("grouplib_version") == GROUPLIB_VERSION
-        and obj.get("algorithm_version") == ALGORITHM_VERSION
-    )
+def stamp_valid(obj) -> bool:
+    return isinstance(obj, dict) and all(obj.get(k) == v for k, v in _stamp().items())
 
 
 def _write_atomic(path: Path, text: str):
@@ -69,19 +70,15 @@ def write_catalogue_file(cache_dir: Path, degree: int, type_label: str, payload:
     _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True))
 
 
-def read_catalogue_file(cache_dir: Path, degree: int, type_label: str) -> dict | None:
-    """The file's stamped payload; None for a missing, undecodable, stale
-    or damaged one (no object, no entry list), so the type is rebuilt."""
-    path = catalogue_path(cache_dir, degree, type_label)
-    if not path.exists():
+def read_catalogue_file(cache_dir: Path, degree: int, type_label: str, decode) -> list | None:
+    """``decode`` of each entry of the file; None for a missing, stale or
+    damaged one (no JSON object, no entry list, an entry that does not
+    decode), so the type is rebuilt."""
+    try:  # a missing file raises OSError, bad JSON or bytes a ValueError
+        obj = json.loads(catalogue_path(cache_dir, degree, type_label).read_text())
+        return [decode(rec) for rec in obj["entries"]] if stamp_valid(obj) else None
+    except (OSError, *_DECODE_ERRORS):
         return None
-    try:
-        obj = json.loads(path.read_text())
-    except (ValueError, OSError):  # JSONDecodeError and UnicodeDecodeError
-        return None
-    if not isinstance(obj, dict) or not stamp_valid(obj):
-        return None
-    return obj if isinstance(obj.get("entries"), list) else None
 
 
 def reports_path(cache_dir: Path, degree: int) -> Path:
@@ -112,14 +109,21 @@ def read_report_lines(cache_dir: Path, degree: int) -> list[dict]:
     return out
 
 
-def open_report_log(cache_dir: Path, degree: int, resume: bool) -> list[dict]:
+def open_report_log(cache_dir: Path, degree: int, resume: bool, decode) -> list:
     """Rewrite the log (a stamp, then a line per finished entry) and
-    return the entry lines kept: with ``resume``, those of a log with a
-    valid stamp, up to a torn one; otherwise none."""
+    return ``decode`` of each entry line kept: with ``resume``, those of a
+    log with a valid stamp, up to one that is torn or does not decode;
+    otherwise none."""
     lines = read_report_lines(cache_dir, degree) if resume else []
-    kept = lines[1:] if lines and stamp_valid(lines[0]) else []
+    decoded = []
+    for line in lines[1:] if lines and stamp_valid(lines[0]) else ():
+        try:
+            decoded.append(decode(line))
+        except _DECODE_ERRORS:
+            break
+    kept = lines[1:1 + len(decoded)]
     _write_atomic(reports_path(cache_dir, degree), "".join(map(_line, [_stamp(), *kept])))
-    return kept
+    return decoded
 
 
 def summary_csv(rows) -> str:

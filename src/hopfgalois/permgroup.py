@@ -1,19 +1,21 @@
 """Permutation groups, with deterministic stabilizer chains.
 
 Groups are immutable after construction.  Elements are closed from the
-generators (``perms.closure_of``).  A stabilizer chain is built on first
-use, and only by the queries the elements do not answer: the order of a
-group never enumerated (size guards, groups read back from a file),
-membership in a group without a view, and point stabilizers.  A caller
-that has proved the order of a group containing the generators passes it
-as ``order``, and Schreier-Sims stops as soon as the chain reaches it
+generators (``perms.closure_of``).  A group made with its proved order
+(lattice results, point stabilizers, groups closed from elements, coset
+actions, quotient pairs) reads it back as given.  A stabilizer chain is
+built on first use, and only where nothing else answers: the order of a
+group given none and never enumerated (size guards, groups read back
+from a file), membership in a group without a view, and point
+stabilizers.  Schreier-Sims stops once the chain reaches a proved order
 (Seress, *Permutation Group Algorithms*, 2003, section 4.5).  Base points
-are chosen as the least moved point at each level, and orbits are swept
-in sorted order, so chains are reproducible run to run.
+are the least moved point at each level, and orbits are swept in sorted
+order, so chains are reproducible run to run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -69,12 +71,6 @@ def _build_chain(degree, gens, first_base=None, order=None):
     only means the full run."""
     levels = [] if first_base is None else [_Level(first_base, degree)]
 
-    def cumulative(i):
-        out = []
-        for lvl in levels[i:]:
-            out.extend(lvl.gens)
-        return out
-
     def sift(p, start):
         for i in range(start, len(levels)):
             lvl = levels[i]
@@ -92,7 +88,7 @@ def _build_chain(degree, gens, first_base=None, order=None):
         # cumulative generators, then sift every Schreier generator.
         while True:
             lvl = levels[i]
-            gens_i = cumulative(i)
+            gens_i = [g for level in levels[i:] for g in level.gens]
             trans = {lvl.base: identity(degree)}
             frontier = [lvl.base]
             while frontier:
@@ -146,22 +142,19 @@ def _build_chain(degree, gens, first_base=None, order=None):
 
 
 def _chain_order(levels):
-    order = 1
-    for lvl in levels:
-        order *= len(lvl.transversal)
-    return order
+    return math.prod(len(lvl.transversal) for lvl in levels)
 
 
 class PermGroup:
     """An immutable permutation group on ``degree`` points.
 
-    ``order()`` counts the elements once they are known, and membership
-    reads the view's index once ``engine.view_of`` has built one; both use
-    the chain otherwise.  ``order``, when given, must be the proved order
-    of a group containing the generators; it only lets the chain build
-    stop early, and ``order()`` still reports what it finds."""
+    ``order``, when given, must be the proved order of ``<generators>``;
+    ``order()`` returns it, and any chain built stops on reaching it.
+    Otherwise ``order()`` counts the elements once they are known, and
+    builds the chain while they are not.  Membership reads the view's
+    index once ``engine.view_of`` has built one, and the chain otherwise."""
 
-    __slots__ = ("degree", "generators", "_bound", "_chain", "_order", "_elements", "_view")
+    __slots__ = ("degree", "generators", "_chain", "_order", "_elements", "_view")
 
     def __init__(self, degree, generators=(), order=None):
         if degree < 1:
@@ -179,16 +172,15 @@ class PermGroup:
                 norm.add(p)
         self.degree = degree
         self.generators = tuple(sorted(norm))
-        self._bound = order
         self._chain = None
-        self._order = None
+        self._order = order
         self._elements = None
         self._view = None  # engine.view_of
 
     @property
     def _levels(self):
         if self._chain is None:
-            self._chain = _build_chain(self.degree, self.generators, order=self._bound)
+            self._chain = _build_chain(self.degree, self.generators, order=self._order)
         return self._chain
 
     # -- basic queries -------------------------------------------------
@@ -246,21 +238,16 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def point_stabilizer(self, p: int) -> "PermGroup":
-        """Stab_G(p), via a chain rebuilt with base starting at p."""
+        """Stab_G(p), via a chain rebuilt with base starting at p.  That
+        chain is complete, so it also proves G's order."""
         if not 0 <= p < self.degree:
             raise PreconditionError(f"point {p} outside 0..{self.degree - 1}")
-        moved = any(g[p] != p for g in self.generators)
-        if not moved:
+        if all(g[p] == p for g in self.generators):
             return self
-        order = self.order()
-        levels = _build_chain_prefixed(self.degree, self.generators, p, order)
-        gens = []
-        for lvl in levels[1:]:
-            gens.extend(lvl.gens)
-        orbit = len(levels[0].transversal)
-        stab = PermGroup(self.degree, gens, order // orbit)
-        assert stab.order() * orbit == order
-        return stab
+        levels = _build_chain_prefixed(self.degree, self.generators, p, self._order)
+        self._order = _chain_order(levels)
+        gens = [g for lvl in levels[1:] for g in lvl.gens]
+        return PermGroup(self.degree, gens, self._order // len(levels[0].transversal))
 
     def elements(self) -> tuple:
         """All elements, sorted; cached.  No chain is built."""

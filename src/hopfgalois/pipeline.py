@@ -16,6 +16,7 @@ entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import cache as cachemod
@@ -64,6 +65,15 @@ class CatalogueEntry:
             "group": [list(p) for p in self.group.generators],
             "stabilizer": [list(p) for p in self.stabilizer.generators],
         }
+
+    @classmethod
+    def from_json(cls, rec: dict, degree: int, type_label: str) -> "CatalogueEntry":
+        return cls(
+            degree, type_label,
+            PermGroup(degree, _perms(degree, rec["group"])),
+            PermGroup(degree, _perms(degree, rec["stabilizer"])),
+            *(operator.index(rec[k]) for k in ("order", "entry_id", "class_size")),
+        )
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,8 @@ def build_catalogue(
     Entries are deterministic: group types in catalogue order, classes by
     (order, canonical key); ids number the concatenation.  With a cache
     directory, per-type files are reused when their version stamps match;
-    a file that does not decode or holds no entry list is rebuilt.
+    a file that does not decode, holds no entry list, or holds an entry
+    that does not decode is rebuilt.
     ``resume`` only picks the default cache directory when ``cache_dir``
     is not given; it changes nothing else here.
     """
@@ -138,32 +149,22 @@ def build_catalogue(
     cache_path = cachemod.resolve_cache_dir(cache_dir) if cache_dir or resume else None
     entry_id = 0
     for N in groups_of_order(n).groups:
-        cached = (
-            cachemod.read_catalogue_file(cache_path, n, N.label) if cache_path else None
+        cached = cache_path and cachemod.read_catalogue_file(
+            cache_path, n, N.label, lambda rec: CatalogueEntry.from_json(rec, n, N.label)
         )
         if cached is not None:
-            for rec in cached["entries"]:
-                group = PermGroup(n, _perms(n, rec["group"]))
-                stab = PermGroup(n, _perms(n, rec["stabilizer"]))
-                catalogue.append(
-                    CatalogueEntry(
-                        n, N.label, group, stab, rec["order"], rec["entry_id"], rec["class_size"]
-                    )
-                )
-                entry_id = max(entry_id, rec["entry_id"] + 1)
+            catalogue.extend(cached)
+            entry_id = max([entry_id] + [e.entry_id + 1 for e in cached])
             continue
         hol = holomorph(N)
         classes = transitive_subgroup_classes(hol, max_order=max_order)
         fresh = []
         for cls in classes:
             G = cls.representative
-            stab = G.point_stabilizer(0)
-            core = normal_core(G, stab)
-            if core.order() != 1:
-                raise PreconditionError("transitive point stabilizer must have trivial core")
-            fresh.append(
-                CatalogueEntry(n, N.label, G, stab, cls.order, entry_id, cls.class_size)
-            )
+            # Stab(0) has trivial core: a permutation group acts faithfully
+            fresh.append(CatalogueEntry(
+                n, N.label, G, G.point_stabilizer(0), cls.order, entry_id, cls.class_size
+            ))
             entry_id += 1
         if cache_path:
             cachemod.write_catalogue_file(
@@ -309,8 +310,10 @@ def analyze_degree(
     cache_path = cachemod.resolve_cache_dir(cache_dir) if cache_dir or resume else None
     witnesses: dict[int, list[ParallelReport]] = {}
     if cache_path:
-        for rec in cachemod.open_report_log(cache_path, n, resume):
-            witnesses[rec["entry_id"]] = [ParallelReport.from_json(r, n) for r in rec["witnesses"]]
+        witnesses.update(cachemod.open_report_log(cache_path, n, resume, lambda rec: (
+            operator.index(rec["entry_id"]),
+            [ParallelReport.from_json(r, n) for r in rec["witnesses"]],
+        )))
     index = CatalogueIndex(catalogue)
     for entry in catalogue:
         if entry.entry_id in witnesses:
@@ -486,7 +489,7 @@ def extend_family(
     ])
     G2, stab2, H2 = _product_with_cyclic(entry, report, q)
     deg = n * q
-    core2 = normal_core(G2, PermGroup(deg, list(H2.generators)))
+    core2 = normal_core(G2, H2)
     # the base witness scan must cover every same-order entry of the base degree
     J, J_sub = permutation_pair_of_quotient(entry.group, report.h_class.representative)
     index = CatalogueIndex(catalogue)

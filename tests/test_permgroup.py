@@ -280,8 +280,9 @@ def test_group_from_elements_reproduces_element_sets():
 
 def _chain_corpus(n):
     """Every degree-n catalogue entry, its Stab(0), its index-n class
-    representatives, and the quotient pairs (J, J') that analyze_parallel
-    builds from them."""
+    representatives with the kernels of their coset actions, and the
+    quotient pairs (J, J') that analyze_parallel builds from them: each
+    constructor that is given an order."""
     from hopfgalois.isomorphism import permutation_pair_of_quotient
     from hopfgalois.pipeline import build_catalogue
     from hopfgalois.subgroups import class_key_of, index_n_subgroup_classes
@@ -291,7 +292,7 @@ def _chain_corpus(n):
         out += [entry.group, entry.stabilizer]
         stab_key = class_key_of(entry.group, entry.stabilizer)
         for cls in index_n_subgroup_classes(entry.group, n):
-            out.append(cls.representative)
+            out += [cls.representative, coset_action(entry.group, cls.representative).kernel]
             if cls.key != stab_key:
                 out += permutation_pair_of_quotient(entry.group, cls.representative)
     return out
@@ -306,12 +307,33 @@ def _dihedral_on_tuples(p):
     ])
 
 
-def test_quotients_and_lattice_results_build_no_chain(monkeypatch):
-    """Quotient pairs take J's order from its elements and bound J' by
-    |G| / (|core| [G:H]), and lattice results take their orders from the
-    greedy generators' closures: over the degree-8 catalogue, neither
-    runs Schreier-Sims once the entry's order is known."""
+def _count_chains_by_caller(monkeypatch):
+    """Per ``_build_chain`` call from now on, its generators and the names
+    of the functions on the stack."""
+    import sys
+
     from hopfgalois import permgroup
+
+    calls = []
+    build_chain = permgroup._build_chain
+
+    def counted(*args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append((args[1], names))
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "_build_chain", counted)
+    return calls
+
+
+def test_quotients_and_lattice_results_build_no_chain(monkeypatch):
+    """Quotient pairs are given J's order as |G| / |core| and that of J'
+    as |G| / (|core| [G:H]), and lattice results their orders from the
+    greedy generators' closures: over the degree-8 catalogue, neither runs
+    Schreier-Sims once the entry's order is known."""
     from hopfgalois.isomorphism import permutation_pair_of_quotient
     from hopfgalois.pipeline import build_catalogue
     from hopfgalois.subgroups import index_n_subgroup_classes
@@ -319,14 +341,7 @@ def test_quotients_and_lattice_results_build_no_chain(monkeypatch):
     groups = [PermGroup(8, e.group.generators) for e in build_catalogue(8)]
     for G in groups:
         G.order()
-    calls = []
-    build_chain = permgroup._build_chain
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return build_chain(*args, **kwargs)
-
-    monkeypatch.setattr(permgroup, "_build_chain", counted)
+    calls = _count_chains_by_caller(monkeypatch)
     classes = [index_n_subgroup_classes(G, 8) for G in groups]
     assert len(calls) == 0
     pairs = [
@@ -338,19 +353,46 @@ def test_quotients_and_lattice_results_build_no_chain(monkeypatch):
     assert len(pairs) == sum(map(len, classes)) > len(groups)
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_degree_runs_build_chains_only_where_an_output_needs_one(tmp_path, monkeypatch, n):
+    """A fresh run builds one chain per catalogue entry, the prefixed one
+    that gives its Stab(0), and one per holomorph, for its order check; no
+    pair test or core builds one.  A run on the cached catalogue builds
+    chains only for entries read back from their files, never for a
+    quotient's J'."""
+    from hopfgalois.groups import groups_of_order
+    from hopfgalois.pipeline import build_catalogue, detect_no_hgs
+
+    calls = _count_chains_by_caller(monkeypatch)
+    detect_no_hgs(n, cache_dir=tmp_path)
+    catalogue = build_catalogue(n, cache_dir=tmp_path)
+    prefixed = [c for c in calls if "_build_chain_prefixed" in c[1]]
+    assert not any({"pair_isomorphic", "normal_core"} & names for _, names in calls)
+    assert len(prefixed) == len(catalogue)
+    assert all("point_stabilizer" in names for _, names in prefixed)
+    hol = [c for c in calls if "holomorph" in c[1]]
+    assert len(hol) == len(groups_of_order(n).groups)
+    assert len(calls) == len(prefixed) + len(hol)
+    calls.clear()
+    detect_no_hgs(n, cache_dir=tmp_path)
+    read_back = {g for e in catalogue for g in (e.group.generators, e.stabilizer.generators)}
+    assert calls and all(gens in read_back for gens, _ in calls)
+
+
 def _shape(levels):
     return [(lvl.base, lvl.gens) for lvl in levels]
 
 
 @pytest.mark.parametrize("n", [*range(4, 13), 55, "tuples"])
 def test_chain_stopped_at_order_matches_full_run(n):
-    """Each group has the order of its full chain, and the elements closed
-    from its generators are the chain's, whose count is that order, on a
-    fresh copy too.  A chain stopped at the true order, or run with twice
-    it as bound, has the full run's base points and level generators; the
-    groups built with either bound have the true order, its elements and
-    its members; the stabilizers of its least and greatest moved points
-    have the full prefixed chain's generators."""
+    """Each group has the order of its full chain, so every order the
+    pipeline gives a constructor is true, and the elements closed from its
+    generators are the chain's, whose count is that order, on a fresh copy
+    too.  A chain stopped at the true order, or run with twice it as
+    bound, has the full run's base points and level generators; the group
+    given the true order has its elements and its members; the stabilizers
+    of its least and greatest moved points have the full prefixed chain's
+    generators."""
     for X in [_dihedral_on_tuples(257)] if n == "tuples" else _chain_corpus(n):
         d, gens = X.degree, X.generators
         full = _build_chain(d, gens)
@@ -364,11 +406,10 @@ def test_chain_stopped_at_order_matches_full_run(n):
         assert _shape(_build_chain(d, gens, order=2 * order)) == _shape(full)
         unbounded = PermGroup(d, gens)
         probes = [compose(g, make_perm([1, 0] + list(range(2, d)))) for g in gens]
-        for bound in (order, 2 * order):
-            bounded = PermGroup(d, gens, bound)
-            assert bounded.order() == order
-            assert bounded.elements() == unbounded.elements()
-            assert [x in bounded for x in probes] == [x in unbounded for x in probes]
+        given = PermGroup(d, gens, order)
+        assert given.order() == order
+        assert given.elements() == unbounded.elements()
+        assert [x in given for x in probes] == [x in unbounded for x in probes]
         moved = [p for p in range(d) if any(g[p] != p for g in gens)]
         for p in {moved[0], moved[-1]} if moved else ():
             assert X.point_stabilizer(p).generators == point_stabilizer_generators(X, p)

@@ -134,13 +134,22 @@ def test_resume_reanalyses_only_a_torn_entry(tmp_path, monkeypatch):
     assert calls == []
 
 
+def _first_entry(text, change):
+    obj = json.loads(text)
+    obj["entries"][0] = change(obj["entries"][0])
+    return json.dumps(obj).encode()
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: b"\xff\xfe" + text.encode(),
     lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "entries"}).encode(),
-], ids=["undecodable", "stamp-without-entries"])
+    lambda text: _first_entry(text, lambda e: {"x": 1}),
+    lambda text: _first_entry(text, lambda e: dict(e, group="zz")),
+], ids=["undecodable", "stamp-without-entries", "entry-without-group", "group-not-a-list"])
 def test_damaged_catalogue_file_is_rebuilt(tmp_path, damage):
-    """A catalogue file that does not decode, or a stamped one with no
-    entries, reads as a miss: its type is rebuilt and the file rewritten."""
+    """A catalogue file that does not decode, a stamped one with no
+    entries, or one with an entry that does not decode reads as a miss:
+    its type is rebuilt and the file rewritten."""
     fresh = build_catalogue(4, cache_dir=tmp_path)
     path = next(tmp_path.glob("catalogue_deg4_*.json"))
     good = path.read_bytes()
@@ -164,6 +173,25 @@ def test_resume_keeps_the_lines_before_undecodable_bytes(tmp_path, monkeypatch):
     assert detect_no_hgs(6, cache_dir=tmp_path, resume=True) == first
     assert len(calls) == 2
     assert cache.reports_path(tmp_path, 6).read_bytes() == b"".join(lines)
+
+
+@pytest.mark.parametrize("damage, redone", [
+    (lambda lines: [*lines[:2], b'{"x": 1}\n', *lines[3:]], 1),
+    (lambda lines: [b"[1]\n", *lines[1:]], 0),
+], ids=["line-without-witnesses", "stamp-not-an-object"])
+def test_resume_ends_the_log_at_a_record_of_the_wrong_shape(tmp_path, monkeypatch, damage, redone):
+    """A log line that parses but does not decode to an entry's reports
+    ends the log, as a torn line does, and a stamp that is not an object is
+    invalid: resume redoes the entries from there and rewrites the log."""
+    first = detect_no_hgs(6, cache_dir=tmp_path)
+    log = cache.reports_path(tmp_path, 6)
+    good = log.read_bytes()
+    lines = good.splitlines(keepends=True)
+    log.write_bytes(b"".join(damage(lines)))
+    calls = _count_analyses(monkeypatch)
+    assert detect_no_hgs(6, cache_dir=tmp_path, resume=True) == first
+    assert calls == list(range(redone, first.total_transitive_classes))
+    assert log.read_bytes() == good
 
 
 def test_resume_restarts_a_stale_log(tmp_path, monkeypatch):
