@@ -144,14 +144,12 @@ def fixtures_path(cache_dir: Path) -> Path:
 
 
 def load_fixtures(cache_dir: Path) -> dict:
-    """The stored fixtures; a missing or damaged store (no parse, no JSON
-    object, an entry without a value) reads as empty and is seeded afresh."""
-    path = fixtures_path(cache_dir)
-    if not path.exists():
-        return {}
-    try:
-        fixtures = json.loads(path.read_text())
-    except json.JSONDecodeError:
+    """The stored fixtures; a missing or damaged store (bytes that do not
+    decode or parse, no JSON object, an entry without a value) reads as
+    empty and is seeded afresh."""
+    try:  # a missing file raises OSError, bad JSON or bytes a ValueError
+        fixtures = json.loads(fixtures_path(cache_dir).read_bytes())
+    except (OSError, ValueError):
         return {}
     if not isinstance(fixtures, dict):
         return {}

@@ -432,10 +432,6 @@ class GroupView:
                 return current
             current = nxt
 
-    def is_solvable(self) -> bool:
-        whole = frozenset(range(self.size))
-        return len(self.perfect_residual(whole)) == 1
-
     def subgroup_order_histogram(self, subgroup) -> tuple:
         orders = self.element_orders()
         counts = {}

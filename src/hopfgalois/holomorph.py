@@ -26,13 +26,14 @@ AUT_ORDER_BOUND = 256
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """Aut(N) as permutations of N's elements; every map fixes point 0."""
+    """Aut(N) as permutations of N's elements; every map fixes point 0.
+    ``group`` is closed from every automorphism, so it holds its proved
+    order, and its sorted ``elements()`` are the automorphisms."""
 
     group: PermGroup
-    maps: tuple  # every automorphism, sorted
 
     def order(self) -> int:
-        return len(self.maps)
+        return self.group.order()
 
 
 def automorphism_group(N: AbstractGroup) -> AutomorphismGroup:
@@ -46,10 +47,10 @@ def automorphism_group(N: AbstractGroup) -> AutomorphismGroup:
 @lru_cache(maxsize=256)
 def _automorphism_group_cached(table) -> AutomorphismGroup:
     n = len(table)
-    maps = sorted(
+    maps = [
         make_perm([full[x] for x in range(n)]) for full in _automorphism_maps(_table_view(table))
-    )
-    return AutomorphismGroup(group_from_elements(n, maps), tuple(maps))
+    ]
+    return AutomorphismGroup(group_from_elements(n, maps))
 
 
 @dataclass(frozen=True)
@@ -60,19 +61,6 @@ class Holomorph:
     lambda_group: PermGroup
     aut: AutomorphismGroup
     N_ref: AbstractGroup
-
-    @property
-    def degree(self) -> int:
-        return self.group.degree
-
-    def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "label": self.N_ref.label,
-            "degree": self.degree,
-            "lambda_generators": [list(p) for p in self.lambda_group.generators],
-            "aut_generators": [list(p) for p in self.aut.group.generators],
-        }
 
 
 def holomorph(N: AbstractGroup) -> Holomorph:

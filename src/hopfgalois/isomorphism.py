@@ -41,20 +41,13 @@ class PairWitness:
     """Generator-image list defining an isomorphism, with subgroup data.
 
     ``mapping`` pairs source generators with their images (permutations of
-    the respective groups' points).  ``verified`` records that the map
-    extends to a bijective homomorphism carrying the designated subgroup
-    onto its target: the witness was replayed, or is conjugation by a point
-    map (see ``pair_isomorphic``).
+    the respective groups' points).  Every witness is verified when it is
+    made: the map extends to a bijective homomorphism carrying the
+    designated subgroup onto its target, because it was replayed or is
+    conjugation by a point map (see ``pair_isomorphic``).
     """
 
     mapping: tuple
-    verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "mapping": [[list(a), list(b)] for a, b in self.mapping],
-            "verified": self.verified,
-        }
 
 
 def _bounded_views(G, M):
@@ -307,7 +300,7 @@ def _regular_search(G, G_sub, M, M_sub) -> PairWitness | None:
         if not _replay_verifies(va, vb, full, sub_a, sub_b):
             raise PreconditionError("isomorphism replay failed")
         mapping = tuple((va.elements[g], vb.elements[h]) for g, h in zip(gens, images))
-        return PairWitness(mapping, True)
+        return PairWitness(mapping)
     return None
 
 
@@ -342,7 +335,7 @@ def pair_isomorphic(
         if s is None:
             return None
         s_inv = inverse(s)
-        return PairWitness(tuple((compose(s_inv, compose(m, s)), m) for m in M.generators), True)
+        return PairWitness(tuple((compose(s_inv, compose(m, s)), m) for m in M.generators))
     return _regular_search(G, G_sub, M, M_sub)
 
 

@@ -237,6 +237,12 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
 
+    def fixes_a_point(self) -> int | None:
+        """Some point that every generator fixes, or None."""
+        return next(
+            (x for x in range(self.degree) if all(g[x] == x for g in self.generators)), None
+        )
+
     def point_stabilizer(self, p: int) -> "PermGroup":
         """Stab_G(p), via a chain rebuilt with base starting at p.  That
         chain is complete, so it also proves G's order."""
@@ -334,10 +340,10 @@ def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
 @dataclass
 class CosetActionResult:
     """Action of G on the left cosets of H, with kernel = Core_G(H).  The
-    kernel is known by its elements; its group is built on first use."""
+    identity coset H is point 0 of the image.  The kernel is known by its
+    elements; its group is built on first use."""
 
     image: PermGroup
-    point_of_identity_coset: int
     _coset_of: dict = field(repr=False)
     _reps: list = field(repr=False)
     _kernel_elements: list = field(repr=False)
@@ -386,7 +392,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetActionResult:
     ]
     image_gens = [make_perm(map(cosets, left_multiples(g, reps))) for g in G.generators]
     image = PermGroup(max(index, 1), image_gens, G.order() // len(kernel_els))
-    return CosetActionResult(image, 0, coset_of, reps, kernel_els)
+    return CosetActionResult(image, coset_of, reps, kernel_els)
 
 
 def are_conjugate_subgroups(G: PermGroup, H1: PermGroup, H2: PermGroup):

@@ -35,7 +35,6 @@ from .permgroup import PermGroup, normal_core
 from .subgroups import (
     DEFAULT_MAX_ORDER,
     SubgroupClass,
-    class_key_of,
     index_n_subgroup_classes,
     transitive_subgroup_classes,
 )
@@ -123,9 +122,6 @@ class DegreeSummary:
     no_hgs_entries: int
     per_type: tuple  # (type_label, classes, no_hgs_classes)
     no_hgs_pairs: int = 0
-
-    def rows(self):
-        return [(self.degree, self.total_transitive_classes, self.no_hgs_entries)]
 
 
 def build_catalogue(
@@ -257,15 +253,13 @@ def analyze_parallel(
     n = entry.degree
     G = entry.group
     classes = index_n_subgroup_classes(G, n, max_order=max_order)
-    stab_key = class_key_of(G, entry.stabilizer)
     reports = []
     for cls in classes:
         H = cls.representative
-        if cls.key == stab_key:
-            # conjugates of the stabilizer reproduce the entry itself
-            witness = PairWitness(
-                tuple((g, g) for g in G.generators), True
-            )
+        if H.fixes_a_point() is not None:
+            # an index-n subgroup fixing a point is a point stabilizer, a
+            # conjugate of Stab(0), and reproduces the entry itself
+            witness = PairWitness(tuple((g, g) for g in G.generators))
             reports.append(
                 ParallelReport(
                     entry.entry_id, cls, 1, n, MatchResult(entry.entry_id, witness), False, (entry.entry_id,)

@@ -416,16 +416,15 @@ def _partition(k: int, joined) -> list[int]:
 
 
 def _class_moves(G: PermGroup, n: int, classes, actions) -> list[tuple]:
-    """For each core-free class K of index d = G.degree other than the class
-    of S = Stab_G(0) with a point map s_K onto G's action rho_K on the
-    cosets of K: the permutation pi_K of the index-n ``classes`` (whose
-    coset ``actions`` are given) sending j to the class of
-    s_K^-1 rho_K(H_j) s_K.  The distinct permutations, the identity first."""
+    """For each core-free class K of index d = G.degree but S = Stab_G(0)'s
+    (whose representative fixes a point) with a point map s_K onto G's
+    action rho_K on the cosets of K: the permutation pi_K of the index-n
+    ``classes`` (whose coset ``actions`` are given) sending j to the class
+    of s_K^-1 rho_K(H_j) s_K.  The distinct permutations, the identity first."""
     from .isomorphism import point_map
     from .permgroup import coset_action
 
     d = G.degree
-    s_key = class_key_of(G, G.point_stabilizer(0))
     if d == n:
         others = zip(classes, actions)
     else:
@@ -436,7 +435,7 @@ def _class_moves(G: PermGroup, n: int, classes, actions) -> list[tuple]:
     index_of = {c.key: i for i, c in enumerate(classes)}
     moves = [tuple(range(len(classes)))]
     for K, action in others:
-        if K.key == s_key or action.kernel_order != 1:
+        if K.representative.fixes_a_point() is not None or action.kernel_order != 1:
             continue
         rho = action.image_of_element
         s = point_map(G, action.image, PermGroup(d, [rho(h) for h in K.representative.generators]))
@@ -479,13 +478,15 @@ def classify_index_n(G: PermGroup, n: int, *, classes=None) -> ClassificationRep
        point bijection s of [d] + G/H_i onto [d] + G/H_j with s(0) = 0
        conjugates g + rho_i(g) to a(g) + rho_j(a(g))
        (``isomorphism.TwoBlockMaps``).
-    2. For each other core-free class K of index d, a point map s_K with
-       s_K G s_K^-1 = rho_K(G) (``isomorphism.point_map``) gives the
-       automorphism b_K = rho_K^-1 o (conjugation by s_K), with
-       b_K(S) = K; pi_K(j) is the class of b_K^-1(H_j) =
-       s_K^-1 rho_K(H_j) s_K.  Every automorphism is some b_K (or the
-       identity) after one of fact 1, so H_i and H_j lie in one orbit iff
-       fact 1 holds for (i, pi(j)) for some pi in {identity} + {pi_K}.
+    2. For each other core-free class K of index d (its representative
+       fixes no point: an index-d subgroup fixing x is Stab(x), a
+       conjugate of S), a point map s_K with s_K G s_K^-1 = rho_K(G)
+       (``isomorphism.point_map``) gives the automorphism
+       b_K = rho_K^-1 o (conjugation by s_K), with b_K(S) = K; pi_K(j) is
+       the class of b_K^-1(H_j) = s_K^-1 rho_K(H_j) s_K.  Every
+       automorphism is some b_K (or the identity) after one of fact 1, so
+       H_i and H_j lie in one orbit iff fact 1 holds for (i, pi(j)) for
+       some pi in {identity} + {pi_K}.
 
     Pairs are tried only when their invariants agree: subgroup order and
     order histogram, conjugacy class size, core order.
@@ -556,11 +557,3 @@ def classify_index_n(G: PermGroup, n: int, *, classes=None) -> ClassificationRep
         prev = orbit_to_iso.setdefault(d["aut_orbit"], d["iso_class"])
         assert prev == d["iso_class"]
     return ClassificationReport(k, aut_orbits, iso_classes, details)
-
-
-# -- solvability helper (exposed for tests) --------------------------------
-
-
-def is_solvable(G: PermGroup) -> bool:
-    view = view_of(G)
-    return view.is_solvable()

@@ -186,13 +186,14 @@ def test_extend_bad_primes_rejected_before_analysis(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("store", [
-    [1, 2, 3],
-    {"catalog/degree4": {"computed_at": "2024-01-01T00:00:00Z"}},
-], ids=["not-an-object", "entry-without-value"])
+    json.dumps([1, 2, 3]).encode(),
+    json.dumps({"catalog/degree4": {"computed_at": "2024-01-01T00:00:00Z"}}).encode(),
+    b"\xff\xfe{",
+], ids=["not-an-object", "entry-without-value", "undecodable-bytes"])
 def test_damaged_fixture_store_starts_afresh(tmp_path, capsys, store):
-    """A fixture store that parses but is damaged is seeded afresh, as an
-    unparseable one is, not a traceback with the mismatch exit code."""
-    (tmp_path / "fixtures.json").write_text(json.dumps(store))
+    """A fixture store that does not decode, or parses but is damaged, is
+    seeded afresh, not a traceback with the mismatch exit code."""
+    (tmp_path / "fixtures.json").write_bytes(store)
     code, out, _ = run(["catalog", "--degree", "4", "--cache-dir", str(tmp_path),
                         "--seed-fixtures"], capsys)
     assert code == 0 and "8 transitive subgroup classes" in out

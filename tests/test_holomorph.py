@@ -23,7 +23,7 @@ def test_automorphisms_respect_multiplication():
     for n in [8, 12]:
         for N in groups_of_order(n).groups:
             aut = automorphism_group(N)
-            for pi in aut.maps:
+            for pi in aut.group.elements():
                 assert pi[0] == 0
                 for a in range(n):
                     for b in range(n):

@@ -128,7 +128,6 @@ def test_coset_action_s3():
     assert res.image.degree == 3
     assert res.image.order() == 6
     assert res.kernel.is_trivial()
-    assert res.point_of_identity_coset == 0
     # stabilizer of the identity coset is the image of H
     img_h = res.image_of_element(parse_perm("(0 1)", 3))
     assert img_h[0] == 0
@@ -263,7 +262,7 @@ def test_group_from_elements_reproduces_element_sets():
             cases.append((8, kernel))
     for n in range(1, 13):
         for N in groups_of_order(n).groups:
-            cases.append((n, automorphism_group(N).maps))
+            cases.append((n, automorphism_group(N).group.elements()))
     without_identity = 0
     for degree, els in cases:
         one = identity(degree)
@@ -377,6 +376,18 @@ def test_degree_runs_build_chains_only_where_an_output_needs_one(tmp_path, monke
     detect_no_hgs(n, cache_dir=tmp_path)
     read_back = {g for e in catalogue for g in (e.group.generators, e.stabilizer.generators)}
     assert calls and all(gens in read_back for gens, _ in calls)
+
+
+def test_class_moves_build_no_stabilizer_chain(monkeypatch):
+    """classify_index_n tells the class of Stab_G(0) by a fixed point of
+    its representative, so over verify_pq(7, 3) no chain is built under
+    ``_class_moves``."""
+    from hopfgalois.pqtheory import verify_pq
+
+    calls = _count_chains_by_caller(monkeypatch)
+    verify_pq(7, 3)
+    assert calls
+    assert [names for _, names in calls if "_class_moves" in names] == []
 
 
 def _shape(levels):

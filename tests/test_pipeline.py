@@ -17,6 +17,10 @@ from hopfgalois.pipeline import (
 )
 
 
+def _row(summary):
+    return (summary.degree, summary.total_transitive_classes, summary.no_hgs_entries)
+
+
 def test_build_catalogue_tiny():
     cat = build_catalogue(2)
     assert len(cat) == 1
@@ -49,6 +53,21 @@ def test_analyze_parallel_stabilizer_class():
         ]
         assert stab_reports, "the stabilizer class must match its own entry"
         assert all(r.quotient_degree == 4 for r in reports)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_stabilizer_class_is_the_one_that_fixes_a_point(n):
+    """An index-n class of an entry is the class of its Stab(0) exactly
+    when the class representative fixes a point, as analyze_parallel and
+    classify_index_n read it."""
+    from hopfgalois.subgroups import class_key_of, index_n_subgroup_classes
+
+    for entry in build_catalogue(n):
+        stab_key = class_key_of(entry.group, entry.stabilizer)
+        classes = index_n_subgroup_classes(entry.group, n)
+        fixing = [c.representative.fixes_a_point() is not None for c in classes]
+        assert fixing == [c.key == stab_key for c in classes], entry.entry_id
+        assert fixing.count(True) == 1
 
 
 def test_detect_no_hgs_degree_4_and_5():
@@ -476,7 +495,7 @@ def test_degree_run_pair_tests_each_quotient_once(monkeypatch):
         return real(G, G_sub, M, M_sub, **kwargs)
 
     monkeypatch.setattr(pipeline, "pair_isomorphic", counted)
-    assert detect_no_hgs(8).rows() == [(8, 148, 8)]
+    assert _row(detect_no_hgs(8)) == (8, 148, 8)
     assert tests
     assert sum(c - 1 for c in tests.values()) == 0
 
@@ -517,5 +536,5 @@ def test_degree_rows_need_no_generator_image_search(monkeypatch):
         raise AssertionError("homsearch.isomorphisms was called")
 
     monkeypatch.setattr(iso, "isomorphisms", no_search)
-    assert detect_no_hgs(8).rows() == [(8, 148, 8)]
-    assert degree_summary(12, *analyze_degree(12)).rows() == [(12, 134, 23)]
+    assert _row(detect_no_hgs(8)) == (8, 148, 8)
+    assert _row(degree_summary(12, *analyze_degree(12))) == (12, 134, 23)

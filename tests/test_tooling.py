@@ -226,3 +226,50 @@ def test_readme_lists_each_commands_flags():
         for name, parser in sub.choices.items()
     }
     assert documented == parsed
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Names that no module of src/, bench/ or demos/ reads, kept on purpose.
+UNREAD_NAMES = {
+    "centralizer_elements": "GroupView API that the oracles in tests/oracles.py call",
+    "element_order": "AbstractGroup API; the reference for view element orders in tests",
+    "format_images": "documented permutation formatter, tested API",
+    "project_group": "documented HolomorphProjection API, tested",
+}
+
+
+def test_every_definition_has_a_reader():
+    """Every class, function, method and property defined in the package,
+    dunders aside, is exported by ``hopfgalois/__init__.py`` or appears as a
+    word in some .py file of src/, bench/ or demos/ besides its own
+    ``def`` or ``class`` line; the exceptions are pinned with a reason."""
+    import re
+
+    pkg = REPO / "src" / "hopfgalois"
+    init = ast.parse((pkg / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    own_lines = {}
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own_lines.setdefault(node.name, set()).add((path, node.lineno))
+    lines = [
+        (path, number, line)
+        for folder in ("src", "bench", "demos")
+        for path in sorted((REPO / folder).rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+    ]
+    unread = set()
+    for name, defs in own_lines.items():
+        if name in exported or (name.startswith("__") and name.endswith("__")):
+            continue
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(line) and (path, n) not in defs for path, n, line in lines):
+            unread.add(name)
+    assert unread == set(UNREAD_NAMES)
