@@ -20,8 +20,8 @@ order of the generator images.  A target element's left-regular
 permutation is composed from the target's own permutations, so the
 search builds no Cayley row there.
 
-``isomorphism.point_map`` and ``isomorphism.TwoBlockMaps`` run the same
-backtrack on the points a transitive group acts on.
+``isomorphism.point_map`` and ``isomorphism.normalizing_maps`` run the
+same backtrack on the points a transitive group acts on.
 """
 
 from __future__ import annotations
@@ -102,36 +102,34 @@ def isomorphisms(
         [{j: [j] for j in pool} for pool in pools],
         pools[0],
         image,
-        [0] + [-1] * (A.size - 1),
     ):
         yield list(gens), [s[g] for g in gens], dict(enumerate(s))
 
 
-def automorphisms(view: GroupView, *, sub: frozenset | None = None):
-    """All automorphisms (optionally stabilizing ``sub`` setwise) as full maps."""
-    return [full for _, _, full in isomorphisms(view, view, sub_a=sub, sub_b=sub)]
+def automorphisms(view: GroupView):
+    """All automorphisms as full maps."""
+    return [full for _, _, full in isomorphisms(view, view)]
 
 
-def _point_search(seq, keys, pools, first, image, sigma):
+def _point_search(seq, keys, pools, first, image):
     """The backtrack behind ``isomorphisms``, ``point_map`` and
-    ``TwoBlockMaps``: yield, in search order, every bijection s of the
-    points that extends ``sigma`` (the partial map, -1 where open; its
-    images are fixed) and conjugates each g of ``seq`` to a chosen f(g),
-    through s(g x) = f(g) s(x); ``seq`` moves the points sigma fixes onto
-    every point.
+    ``normalizing_maps``: yield, in search order, every bijection s of the
+    points with s(0) = 0 that conjugates each g of ``seq`` to a chosen
+    f(g), through s(g x) = f(g) s(x); ``seq`` moves point 0 onto every
+    point.
 
     f(seq[0]) runs over ``first``; f(g) for a later g over ``pools[key]``
     (key -> image of point 0 -> entries) for g's key in ``keys``, and only
     over the entries that send s(0) to s(g 0) once that is known.  Entries
     become permutations by ``image``.  After each choice s is extended by
-    breadth-first search from the fixed points, and the choice is dropped
-    once s is not well defined or not injective.  The search goes no
-    further than the caller reads."""
-    npts = len(sigma)
+    breadth-first search from the points it covers, and the choice is
+    dropped once s is not well defined or not injective.  The search goes
+    no further than the caller reads."""
+    npts = len(seq[0])
+    sigma = [0] + [-1] * (npts - 1)
     hit = bytearray(npts)
-    orbit = [x for x, v in enumerate(sigma) if v >= 0]
-    for x in orbit:
-        hit[sigma[x]] = 1
+    hit[0] = 1
+    orbit = [0]
 
     def search(pairs, sigma, hit, orbit):
         t = len(pairs)

@@ -10,10 +10,11 @@ fixing 0 (the two actions are equivalent to the actions on the cosets of
 the stabilizers).  Such pairs are decided by searching for that bijection
 on the points (``point_map``), and the bijection s is the witness:
 g -> s g s^-1, listed on the target's generators.  They build no Cayley
-view, so no order bound applies to them.  The same backtrack decides
-which subgroups of one transitive group an automorphism keeping Stab(0)'s
-class carries into which classes, on the group's points and one
-subgroup's cosets side by side (``TwoBlockMaps``).
+view, so no order bound applies to them.  The same search, run of a
+transitive group onto itself one level at a time, finds maps that
+generate all the point maps normalizing it (``normalizing_maps``), from
+which ``subgroups.classify_index_n`` reads the automorphisms keeping
+Stab(0)'s class.
 
 Every other test (``find_isomorphism``, and pairs of another shape) takes
 one route, ``_regular_search``: it views both groups, held to an order
@@ -31,7 +32,7 @@ from .engine import view_of
 from .errors import PreconditionError, ResourceLimitError
 from .homsearch import _point_search, isomorphisms
 from .permgroup import PermGroup, coset_action
-from .perms import compose, cycle_length_at, cycle_type, inverse, make_perm, orbit_of
+from .perms import compose, cycle_length_at, cycle_type, inverse, orbit_of
 
 DEFAULT_ISO_BOUND = 10_000
 
@@ -92,6 +93,17 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
     not on its generators.  A total s that conjugates G's generators into M
     conjugates G onto M, since the orders agree.
     """
+    search = _point_search_inputs(G, M, M_sub)
+    if search is None:
+        return None
+    *inputs, conjugates = search
+    return next(filter(conjugates, _point_search(*inputs)), None)
+
+
+def _point_search_inputs(G, M, M_sub):
+    """``point_map``'s arguments of ``_point_search`` (its sequence, their
+    keys, M's pools, the first images, M's elements) and its check of a
+    total map; None when the key counts differ."""
     vg, vm = view_of(G), view_of(M)
     pools = vm.point_pools()
     sizes = _pool_sizes(pools)
@@ -101,165 +113,66 @@ def point_map(G: PermGroup, M: PermGroup, M_sub: PermGroup):
     def key(g):
         return cycle_type(g), cycle_length_at(g, 0)
 
-    first_key = _first_key(sizes)
+    # the first element mapped has the longest cycle through 0, then the
+    # fewest elements of its key
+    first_key = max(sizes, key=lambda k: (k[1], -sizes[k]))
+    # then class representatives while the orbit of 0 is not every point:
+    # each time one whose orbit is largest, of fewest elements of its key
     els = vg.elements
-    seq = _covering_sequence(
-        els[next(iter(vg.point_pools()[first_key].values()))[0]],
-        [els[c[0]] for c in vg.conj_classes()], (0,), lambda g: sizes[key(g)],
-    )
+    seq = [els[next(iter(vg.point_pools()[first_key].values()))[0]]]
+    reps = [els[c[0]] for c in vg.conj_classes()]
+    while len(orbit_of(seq)) < G.degree:
+        seq.append(max(reps, key=lambda g: (len(orbit_of(seq + [g])), -sizes[key(g)])))
     first = vm.point_pool_reps(first_key, [vm._index[h] for h in M_sub.generators])
 
     def conjugates(s):
         s_inv = inverse(s)
         return all(compose(s, compose(g, s_inv)) in vm._index for g in G.generators)
 
-    sigma = [0] + [-1] * (G.degree - 1)
-    maps = _point_search(seq, [key(g) for g in seq], pools, first, vm.elements.__getitem__, sigma)
-    return next(filter(conjugates, maps), None)
+    return seq, [key(g) for g in seq], pools, first, vm.elements.__getitem__, conjugates
+
+
+def normalizing_maps(G: PermGroup, G_sub: PermGroup) -> list:
+    """Point maps s with s(0) = 0 and s G s^-1 = G that generate, with
+    G_sub = Stab_G(0), the group N_0 of all such maps.
+
+    s is fixed by the images f(g_t) = s g_t s^-1 of ``point_map``'s
+    sequence g_0, g_1, ..., so N_0 is generated by one map for each image
+    of g_t under N_0^(t), the maps fixing g_0 .. g_{t-1} (Sims' method).
+    From the last level t on, each image not given by the maps kept so far
+    (and G_sub at t = 0, whose first images are taken up to it) is sought
+    by one ``_point_search`` with the images of g_0 .. g_t set, which stops
+    at its first map."""
+    seq, keys, pools, first, image, conjugates = _point_search_inputs(G, G, G_sub)
+    view = view_of(G)
+    els, index = view.elements, view._index
+    fixed = [index[g] for g in seq]
+    found = []
+    for t in reversed(range(len(seq))):
+        pool = [x for group in pools[keys[t]].values() for x in group]
+
+        def conjugation(k):
+            k_inv = inverse(k)
+            return {x: index[compose(k, compose(els[x], k_inv))] for x in pool}
+
+        maps = [conjugation(k) for k in found + list(G_sub.generators if t == 0 else ())]
+        reached = set(orbit_of(maps, fixed[t:t + 1]))
+        for c in first if t == 0 else pool:
+            if c in reached:
+                continue
+            images = fixed[:t] + [c]
+            level = [{els[x][0]: [x]} for x in images] + [pools[k] for k in keys[t + 1:]]
+            search = _point_search(seq, range(len(seq)), level, images[:1], image)
+            s = next(filter(conjugates, search), None)
+            if s is not None:
+                found.append(s)
+                maps.append(conjugation(s))
+                reached = set(orbit_of(maps, fixed[t:t + 1]))
+    return found
 
 
 def _pool_sizes(pools) -> dict:
     return {k: sum(map(len, b.values())) for k, b in pools.items()}
-
-
-def _first_key(sizes):
-    """The key of the first element mapped: the longest cycle through 0
-    (the key's second part), then the fewest elements."""
-    return max(sizes, key=lambda k: (k[1], -sizes[k]))
-
-
-def _covering_sequence(first, gens, start, weight) -> list:
-    """``first``, then generators from ``gens`` while the orbit of the
-    points ``start`` is not every point: each time the one whose orbit is
-    largest, of least ``weight`` among those."""
-    npts = len(first)
-    seq = [first]
-    while len(orbit_of(seq, start)) < npts:
-        seq.append(max(gens, key=lambda g: (len(orbit_of(seq + [g], start)), -weight(g))))
-    return seq
-
-
-class TwoBlockMaps:
-    """Automorphisms of a transitive group G that keep the class of
-    S = Stab_G(0), as point maps of G acting on its points and on the
-    cosets of a subgroup side by side.
-
-    ``actions[i]`` is the action rho_i of G on the cosets of a subgroup
-    H_i, all of one index n; G acts on [d] + G/H_i (the cosets as the points
-    d.., the coset H_i as d) by g + rho_i(g).  ``exists(i, j)`` says whether
-    some automorphism a of G with a(S) ~ S has a(H_i) ~ H_j.  That holds
-    exactly when a point bijection s of [d] + G/H_i onto [d] + G/H_j with
-    s(0) = 0 conjugates each g + rho_i(g) to a(g) + rho_j(a(g)): a, changed
-    by an inner automorphism to fix S, is conjugation by a bijection of [d]
-    fixing 0, and g H_i -> a(g) x H_j (for a(H_i) = x H_j x^-1) is the
-    second block; conversely the first block of s gives a with a(S) = S,
-    and a(H_i) is the stabilizer of s(d), a conjugate of H_j.
-
-    s is sought by ``_point_search``, seeded with s(0) = 0 and s(d) = c for
-    each point c of the second block.  Candidate images are keyed by
-    (cycle type on [d], cycle length through 0, cycle type on G/H), whose
-    last part is taken once per conjugacy class of G; the first image is
-    chosen only up to conjugation by S, as h s works for h in S when s
-    does.  Answers are cached, and the test is symmetric.
-    """
-
-    def __init__(self, G: PermGroup, actions):
-        self.view = view_of(G)
-        self.degree = G.degree
-        self.actions = actions
-        self.gens = [self.view._index[g] for g in G.generators]
-        self.stab_gens = [self.view._index[h] for h in G.point_stabilizer(0).generators]
-        self._pools = {}
-        self._perms = [{} for _ in actions]
-        self._answers = {}
-
-    def exists(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        pair = (min(i, j), max(i, j))
-        found = self._answers.get(pair)
-        if found is None:
-            found = self._answers[pair] = self._search(*pair) is not None
-        return found
-
-    def _joined(self, i, x):
-        """g + rho_i(g) for the element g of index x."""
-        perm = self._perms[i].get(x)
-        if perm is None:
-            g = self.view.elements[x]
-            d = self.degree
-            images = list(g)
-            images.extend(d + v for v in self.actions[i].image_of_element(g))
-            perm = self._perms[i][x] = make_perm(images)
-        return perm
-
-    def _pools_of(self, i):
-        """Key -> image of point 0 -> elements, the key sizes and the cycle
-        type on G/H_i per conjugacy class of G."""
-        got = self._pools.get(i)
-        if got is None:
-            view = self.view
-            els = view.elements
-            image = self.actions[i].image_of_element
-            types = [cycle_type(image(els[c[0]])) for c in view.conj_classes()]
-            class_of = view._class_of
-            pools = {}
-            for (t, length), pool in view.point_pools().items():
-                for v, group in pool.items():
-                    for x in group:
-                        key = (t, length, types[class_of[x]])
-                        pools.setdefault(key, {}).setdefault(v, []).append(x)
-            got = self._pools[i] = (pools, _pool_sizes(pools), types)
-        return got
-
-    def _search(self, i, j):
-        """A point map s for the pair (i, j), or None."""
-        pools, sizes, types_i = self._pools_of(i)
-        target, target_sizes, types_j = self._pools_of(j)
-        if sizes != target_sizes:
-            return None
-        view, d = self.view, self.degree
-        els, class_of, ctypes = view.elements, view._class_of, view.cycle_types()
-        first_key = _first_key(sizes)
-        source = [next(iter(pools[first_key].values()))[0]] + self.gens
-        key_of = {
-            self._joined(i, x): (ctypes[x], cycle_length_at(els[x], 0), types_i[class_of[x]])
-            for x in source
-        }
-        seq = _covering_sequence(
-            self._joined(i, source[0]),
-            [self._joined(i, x) for x in self.gens],
-            (0, d),
-            lambda g: sizes[key_of[g]],
-        )
-        t, length, u = first_key
-        first = [
-            x for x in view.point_pool_reps((t, length), self.stab_gens)
-            if types_j[class_of[x]] == u
-        ]
-
-        def image(x):
-            return self._joined(j, x)
-
-        def conjugates(s):
-            s_inv = inverse(s)
-            for x in self.gens:
-                m = compose(s, compose(self._joined(i, x), s_inv))
-                y = view._index.get(make_perm(m[:d]))
-                if y is None or self._joined(j, y) != m:
-                    return False
-            return True
-
-        keys = [key_of[g] for g in seq]
-        npts = len(seq[0])
-        for c in range(d, npts):
-            sigma = [-1] * npts
-            sigma[0], sigma[d] = 0, c
-            maps = _point_search(seq, keys, target, first, image, sigma)
-            s = next(filter(conjugates, maps), None)
-            if s is not None:
-                return s
-        return None
 
 
 def _replay_verifies(va, vb, full_map, sub_a=None, sub_b=None) -> bool:

@@ -415,40 +415,39 @@ def _partition(k: int, joined) -> list[int]:
     return [labels.setdefault(find(i), len(labels)) for i in range(k)]
 
 
-def _class_moves(G: PermGroup, n: int, classes, actions) -> list[tuple]:
+def _class_perm(A: PermGroup, reps, index_of, s, rho) -> list[int]:
+    """The permutation of the classes of the subgroups ``reps`` of A (their
+    class keys -> their positions in ``index_of``) made by the automorphism
+    g -> s^-1 rho(g) s of A, for a point map s with s A s^-1 = rho(A): j goes
+    to the class of s^-1 rho(H_j) s."""
+    s_inv = inverse(s)
+    perm = []
+    for H in reps:
+        gens = [compose(s_inv, compose(rho(h), s)) for h in H.generators]
+        perm.append(index_of[class_key_of(A, PermGroup(A.degree, gens))])
+    return perm
+
+
+def _class_moves(G: PermGroup, n: int, classes, index_of):
     """For each core-free class K of index d = G.degree but S = Stab_G(0)'s
     (whose representative fixes a point) with a point map s_K onto G's
     action rho_K on the cosets of K: the permutation pi_K of the index-n
-    ``classes`` (whose coset ``actions`` are given) sending j to the class
-    of s_K^-1 rho_K(H_j) s_K.  The distinct permutations, the identity first."""
+    ``classes`` sending j to the class of s_K^-1 rho_K(H_j) s_K."""
     from .isomorphism import point_map
     from .permgroup import coset_action
 
     d = G.degree
-    if d == n:
-        others = zip(classes, actions)
-    else:
-        others = (
-            (K, coset_action(G, K.representative))
-            for K in index_n_subgroup_classes(G, d)
-        )
-    index_of = {c.key: i for i, c in enumerate(classes)}
-    moves = [tuple(range(len(classes)))]
-    for K, action in others:
-        if K.representative.fixes_a_point() is not None or action.kernel_order != 1:
+    reps = [c.representative for c in classes]
+    for K in classes if d == n else index_n_subgroup_classes(G, d):
+        if K.representative.fixes_a_point() is not None:
+            continue
+        action = coset_action(G, K.representative)
+        if action.kernel_order != 1:
             continue
         rho = action.image_of_element
         s = point_map(G, action.image, PermGroup(d, [rho(h) for h in K.representative.generators]))
-        if s is None:
-            continue
-        s_inv = inverse(s)
-        pi = []
-        for c in classes:
-            gens = [compose(s_inv, compose(rho(h), s)) for h in c.representative.generators]
-            pi.append(index_of[class_key_of(G, PermGroup(d, gens))])
-        if tuple(pi) not in moves:
-            moves.append(tuple(pi))
-    return moves
+        if s is not None:
+            yield _class_perm(G, reps, index_of, s, rho)
 
 
 @dataclass(frozen=True)
@@ -469,37 +468,36 @@ def classify_index_n(G: PermGroup, n: int, *, classes=None) -> ClassificationRep
     """Classify the index-n subgroups of G.  ``classes``, when given, must be
     ``index_n_subgroup_classes(G, n)``, which is then not run again.
 
-    Automorphism orbits are found with point maps.  Let G be transitive of
-    degree d (an intransitive G is replaced by its regular action, the
-    action on the cosets of the trivial subgroup), S = Stab_G(0), and
-    rho_i the action of G on the cosets of H_i.
+    Automorphism orbits are the orbits of permutations of the classes,
+    each made by an automorphism.  Let G be transitive of degree d (an
+    intransitive G is replaced by its regular action, the action on the
+    cosets of the trivial subgroup) and S = Stab_G(0).
 
-    1. Some automorphism a with a(S) ~ S and a(H_i) ~ H_j exists iff a
-       point bijection s of [d] + G/H_i onto [d] + G/H_j with s(0) = 0
-       conjugates g + rho_i(g) to a(g) + rho_j(a(g))
-       (``isomorphism.TwoBlockMaps``).
+    1. An automorphism a with a(S) ~ S is, after an inner one, some
+       g -> s g s^-1 with s in N_0 = {s : s(0) = 0, s G s^-1 = G} (Dixon and
+       Mortimer, *Permutation Groups*, 1.6); inner automorphisms and S act
+       trivially on the classes.  Each of the maps that generate N_0 with
+       S (``isomorphism.normalizing_maps``) gives pi_s: j -> the class of
+       s^-1 H_j s.  In the regular action S is trivial and N_0 = Aut(G).
     2. For each other core-free class K of index d (its representative
        fixes no point: an index-d subgroup fixing x is Stab(x), a
        conjugate of S), a point map s_K with s_K G s_K^-1 = rho_K(G)
-       (``isomorphism.point_map``) gives the automorphism
-       b_K = rho_K^-1 o (conjugation by s_K), with b_K(S) = K; pi_K(j) is
-       the class of b_K^-1(H_j) = s_K^-1 rho_K(H_j) s_K.  Every
-       automorphism is some b_K (or the identity) after one of fact 1, so
-       H_i and H_j lie in one orbit iff fact 1 holds for (i, pi(j)) for
-       some pi in {identity} + {pi_K}.
-
-    Pairs are tried only when their invariants agree: subgroup order and
-    order histogram, conjugacy class size, core order.
+       (``isomorphism.point_map``), rho_K the action of G on the cosets of
+       K, gives the automorphism b_K = rho_K^-1 o (conjugation by s_K),
+       with b_K(S) = K; pi_K(j) is the class of b_K^-1(H_j) =
+       s_K^-1 rho_K(H_j) s_K.  Every automorphism is some b_K (or the
+       identity) after one of fact 1, so the pi_s and pi_K generate the
+       action of Aut(G) on the classes.
     """
-    from .isomorphism import TwoBlockMaps, find_isomorphism
-    from .permgroup import coset_action
+    from .isomorphism import find_isomorphism, normalizing_maps
+    from .permgroup import coset_action, group_from_elements
 
     if classes is None:
         classes = index_n_subgroup_classes(G, n)
     k = len(classes)
     reps = [c.representative for c in classes]
     if G.is_transitive():
-        A, a_reps = G, reps
+        A, a_reps, keys = G, reps, [c.key for c in classes]
     else:
         regular = coset_action(G, PermGroup(G.degree))
         A = regular.image
@@ -507,38 +505,28 @@ def classify_index_n(G: PermGroup, n: int, *, classes=None) -> ClassificationRep
             PermGroup(A.degree, [regular.image_of_element(h) for h in H.generators])
             for H in reps
         ]
-    actions = [coset_action(A, H) for H in a_reps]
+        keys = [class_key_of(A, H) for H in a_reps]
+    index_of = {key: i for i, key in enumerate(keys)}
 
-    # invariants preserved by any ambient automorphism: subgroup order and
-    # order histogram, conjugacy class size, core order
-    view = view_of(G)
-    profiles = []
-    for c, action in zip(classes, actions):
-        idxs = frozenset(view._index[h] for h in c.representative.elements())
-        profiles.append(
-            (c.order, c.class_size, view.subgroup_order_histogram(idxs), action.kernel_order)
-        )
+    # the moves of facts 1 and 2; their orbits are the Aut(G)-orbits
+    S = group_from_elements(A.degree, [x for x in A.elements() if x[0] == 0])
+    moves = [_class_perm(A, a_reps, index_of, s, lambda g: g) for s in normalizing_maps(A, S)]
+    if A is G:
+        moves.extend(_class_moves(G, n, classes, index_of))
+    orbit_label = [-1] * k
+    aut_orbits = 0
+    for i in range(k):
+        if orbit_label[i] < 0:
+            for j in orbit_of(moves, (i,)):
+                orbit_label[j] = aut_orbits
+            aut_orbits += 1
 
-    # orbit partition under Aut(G); isomorphism classes refine across orbits
-    maps = TwoBlockMaps(A, actions)
-    moves = None
-
-    def joined(i, j):
-        nonlocal moves
-        if profiles[i] != profiles[j]:
-            return False
-        if moves is None:
-            # in the regular action S is trivial: every automorphism keeps it
-            moves = _class_moves(G, n, classes, actions) if A is G else [tuple(range(k))]
-        return any(maps.exists(i, pi[j]) for pi in moves)
-
-    orbit_label = _partition(k, joined)
+    # isomorphism classes refine across orbits
     iso_of = _partition(
         k,
         lambda i, j: orbit_label[i] == orbit_label[j]
         or (classes[i].order == classes[j].order and find_isomorphism(reps[i], reps[j])),
     )
-    aut_orbits = max(orbit_label, default=-1) + 1
     iso_classes = max(iso_of, default=-1) + 1
 
     details = tuple(

@@ -632,7 +632,7 @@ def compose_coset_action(G, H):
     return reps, coset_of, image_gens, kernel_els
 
 
-# -- the orbit test before point maps of the two-block action -----------------
+# -- the orbit test before point maps -----------------------------------------
 #
 # Like same_order_scan, this runs the package's engine: it is the body of
 # classify_index_n when Aut(G)-orbits were decided by a pair-isomorphism test

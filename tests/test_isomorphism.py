@@ -529,32 +529,39 @@ def test_witness_search_and_replay_build_no_row_on_the_target(monkeypatch):
         assert all(row is None for row in vb._rows)
 
 
-# -- two-block point maps against an enumeration of automorphisms --------------
+# -- Aut(G)-orbits against an enumeration of automorphisms ----------------------
 
 
 @pytest.mark.parametrize("degree,entry_id", [(9, 8), (12, 108)])
-def test_two_block_maps_equal_automorphisms_keeping_stab0(degree, entry_id):
-    """TwoBlockMaps.exists(i, j) holds exactly when some automorphism of G
-    that fixes S = Stab_G(0) carries H_i into the class of H_j.  In both
-    entries some such pair needs a map that moves the coset H_i."""
+def test_aut_orbits_equal_all_automorphisms(degree, entry_id):
+    """classify_index_n's aut_orbit labels are the orbits of all of Aut(G)
+    (432 and 144 automorphisms) on the index-n classes, numbered by first
+    appearance.  In both entries classes are moved both by point maps that
+    normalize G and by automorphisms that carry Stab_G(0) to another class."""
     from hopfgalois.homsearch import automorphisms
-    from hopfgalois.isomorphism import TwoBlockMaps
-    from hopfgalois.permgroup import coset_action
     from hopfgalois.pipeline import build_catalogue
-    from hopfgalois.subgroups import _conjugacy_orbit, index_n_subgroup_classes
+    from hopfgalois.subgroups import (
+        _conjugacy_orbit,
+        classify_index_n,
+        index_n_subgroup_classes,
+    )
 
     G = build_catalogue(degree)[entry_id].group
     classes = index_n_subgroup_classes(G, degree)
-    maps = TwoBlockMaps(G, [coset_action(G, c.representative) for c in classes])
     view = view_of(G)
     conj = view.generator_conjugation_maps()
-    S = frozenset(view._index[h] for h in G.point_stabilizer(0).elements())
     index_of = {c.key: i for i, c in enumerate(classes)}
-    reached = {
-        (i, index_of[_conjugacy_orbit(conj, frozenset(a[x] for x in H))[1]])
-        for a in automorphisms(view, sub=S)
-        for i, c in enumerate(classes)
-        for H in [frozenset(view._index[h] for h in c.representative.elements())]
-    }
-    k = len(classes)
-    assert {(i, j) for i in range(k) for j in range(k) if maps.exists(i, j)} == reached
+    subgroups = [
+        frozenset(view._index[h] for h in c.representative.elements()) for c in classes
+    ]
+    label = list(range(len(classes)))
+    for a in automorphisms(view):
+        for i, H in enumerate(subgroups):
+            j = index_of[_conjugacy_orbit(conj, frozenset(a[x] for x in H))[1]]
+            old, new = max(label[i], label[j]), min(label[i], label[j])
+            label = [new if x == old else x for x in label]
+    numbered = {}
+    expected = [numbered.setdefault(x, len(numbered)) for x in label]
+    report = classify_index_n(G, degree)
+    assert [d["aut_orbit"] for d in report.details] == expected
+    assert report.aut_orbits == len(numbered) < len(classes)

@@ -390,6 +390,18 @@ def test_class_moves_build_no_stabilizer_chain(monkeypatch):
     assert [names for _, names in calls if "_class_moves" in names] == []
 
 
+def test_classify_index_n_builds_no_stabilizer_chain(monkeypatch):
+    """classify_index_n reads S = Stab_G(0) off G's elements and its
+    automorphisms off point maps, so over verify_pq(7, 3) it builds no chain,
+    and the whole run builds at most 52."""
+    from hopfgalois.pqtheory import verify_pq
+
+    calls = _count_chains_by_caller(monkeypatch)
+    verify_pq(7, 3)
+    assert [names for _, names in calls if "classify_index_n" in names] == []
+    assert 0 < len(calls) <= 52
+
+
 def _shape(levels):
     return [(lvl.base, lvl.gens) for lvl in levels]
 

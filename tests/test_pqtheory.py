@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from hopfgalois.errors import PreconditionError
@@ -109,6 +112,21 @@ def test_verify_pq_7_3_structure():
     # every closed-form triple, orbit and iso columns included, matches
     assert not [c for c in report.checks if c[0] == "counts_match" and not c[1]]
     assert report.ok
+
+
+# SHA-256 of json.dumps(verify_pq(11, 5).to_json(), sort_keys=True), as
+# test_tooling pins it for (7, 3).
+VERIFY_PQ_11_5_DIGEST = "b31ed6fc1a549cf9f95e4496d49b5b272d1fec20f7952faedb4e96de2aa54ed3"
+
+
+def test_verify_pq_11_5_is_pinned():
+    """verify_pq(11, 5), which classifies the index-55 subgroups of every
+    degree-55 catalogue entry, holds and reports byte for byte the pinned
+    checks and rows."""
+    report = verify_pq(11, 5)
+    assert report.ok
+    payload = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PQ_11_5_DIGEST
 
 
 def test_parallel_pairs_admit_the_types_of_their_match():

@@ -384,6 +384,8 @@ def test_classify_s3():
         (["(0 1 2)", "(0 1)"], 2),  # S3
         (["(0 1 2)", "(0 1)"], 3),
         (["(0 1)", "(2 3 4)", "(2 3)"], 2),  # C2 x S3 on 2 + 3 points: (3, 2, 2)
+        # C2^5 on 5 x 2 points: Aut(G) = GL(5, 2), with 9,999,360 elements
+        (["(0 1)", "(2 3)", "(4 5)", "(6 7)", "(8 9)"], 2),
     ],
 )
 def test_classify_index_n_equals_pairwise_oracle_small(gens, n):
