@@ -2,7 +2,8 @@
 
 Every cache file carries (grouplib_version, algorithm_version); a mismatch
 invalidates the file so stale enumerations are never reused across
-algorithm changes.
+algorithm changes.  A catalogue file also carries a CRC-32 of its bytes,
+so one damaged by accident is rebuilt rather than trusted.
 """
 
 from __future__ import annotations
@@ -12,13 +13,17 @@ import io
 import json
 import os
 import time
+import zlib
 from pathlib import Path
 
 from .errors import PreconditionError
 
 GROUPLIB_VERSION = "1"
 ALGORITHM_VERSION = "1"
-CACHE_FORMAT_VERSION = 1
+# the format versions of catalogue files (2 added the CRC head and the
+# Hol(N) classes) and of report logs
+CACHE_FORMAT_VERSION = 2
+LOG_FORMAT_VERSION = 1
 
 ENV_CACHE_DIR = "HOPFGALOIS_CACHE_DIR"
 
@@ -39,16 +44,16 @@ def resolve_cache_dir(cache_dir=None) -> Path:
     return path
 
 
-def _stamp() -> dict:
+def _stamp(version: int = LOG_FORMAT_VERSION) -> dict:
     return {
-        "version": CACHE_FORMAT_VERSION,
+        "version": version,
         "grouplib_version": GROUPLIB_VERSION,
         "algorithm_version": ALGORITHM_VERSION,
     }
 
 
-def stamp_valid(obj) -> bool:
-    return isinstance(obj, dict) and all(obj.get(k) == v for k, v in _stamp().items())
+def stamp_valid(obj, version: int = LOG_FORMAT_VERSION) -> bool:
+    return isinstance(obj, dict) and all(obj.get(k) == v for k, v in _stamp(version).items())
 
 
 def _write_atomic(path: Path, text: str):
@@ -63,20 +68,32 @@ def catalogue_path(cache_dir: Path, degree: int, type_label: str) -> Path:
     return cache_dir / f"catalogue_deg{degree}_{safe}.json"
 
 
+# a catalogue file opens with the CRC-32 of the bytes after this head
+_CRC_HEAD = '{"crc32": "%08x",'
+_CRC_HEAD_LEN = len(_CRC_HEAD % 0)
+
+
 def write_catalogue_file(cache_dir: Path, degree: int, type_label: str, payload: dict):
-    obj = dict(_stamp())
+    """One JSON object: the CRC head, then the stamp and ``payload``."""
+    obj = _stamp(CACHE_FORMAT_VERSION)
     obj.update(payload)
+    body = json.dumps(obj, indent=1, sort_keys=True)[1:]  # past its "{"
     path = catalogue_path(cache_dir, degree, type_label)
-    _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True))
+    _write_atomic(path, _CRC_HEAD % zlib.crc32(body.encode()) + body)
 
 
-def read_catalogue_file(cache_dir: Path, degree: int, type_label: str, decode) -> list | None:
-    """``decode`` of each entry of the file; None for a missing, stale or
-    damaged one (no JSON object, no entry list, an entry that does not
-    decode), so the type is rebuilt."""
+def read_catalogue_file(cache_dir: Path, degree: int, type_label: str, decode):
+    """``decode`` of the file's object; None for a missing, stale or
+    damaged file (bytes past the head whose CRC-32 is not the head's, no
+    JSON object, an object that ``decode`` rejects), so the type is
+    rebuilt.  The CRC is checked on the bytes as read, so what ``decode``
+    sees is what was written, values included."""
     try:  # a missing file raises OSError, bad JSON or bytes a ValueError
-        obj = json.loads(catalogue_path(cache_dir, degree, type_label).read_text())
-        return [decode(rec) for rec in obj["entries"]] if stamp_valid(obj) else None
+        raw = catalogue_path(cache_dir, degree, type_label).read_bytes()
+        if raw[:_CRC_HEAD_LEN] != (_CRC_HEAD % zlib.crc32(raw[_CRC_HEAD_LEN:])).encode():
+            return None
+        obj = json.loads(raw)
+        return decode(obj) if stamp_valid(obj, CACHE_FORMAT_VERSION) else None
     except (OSError, *_DECODE_ERRORS):
         return None
 

@@ -3,14 +3,15 @@
 Groups are immutable after construction.  Elements are closed from the
 generators (``perms.closure_of``).  A group made with its proved order
 (lattice results, point stabilizers, groups closed from elements, coset
-actions, quotient pairs) reads it back as given.  A stabilizer chain is
-built on first use, and only where nothing else answers: the order of a
-group given none and never enumerated (size guards, groups read back
-from a file), membership in a group without a view, and point
-stabilizers.  Schreier-Sims stops once the chain reaches a proved order
-(Seress, *Permutation Group Algorithms*, 2003, section 4.5).  Base points
-are the least moved point at each level, and orbits are swept in sorted
-order, so chains are reproducible run to run.
+actions, quotient pairs, catalogue entries read back from a CRC-checked
+file) reads it back as given.  A stabilizer chain is built on first use,
+and only where nothing else answers: the order of a group given none and
+never enumerated (size guards on such a group), membership in a group
+without a view, and point stabilizers.  Schreier-Sims stops once the
+chain reaches a proved order (Seress, *Permutation Group Algorithms*,
+2003, section 4.5).  Base points are the least moved point at each level,
+and orbits are swept in sorted order, so chains are reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -152,9 +153,14 @@ class PermGroup:
     ``order()`` returns it, and any chain built stops on reaching it.
     Otherwise ``order()`` counts the elements once they are known, and
     builds the chain while they are not.  Membership reads the view's
-    index once ``engine.view_of`` has built one, and the chain otherwise."""
+    index once ``engine.view_of`` has built one, and the chain otherwise.
+    ``_index_classes``, when set, holds the (order, class_size, key) records
+    of a subgroup lattice on G's element set for its classes of index
+    ``degree``, which ``subgroups.index_n_subgroup_classes`` reads."""
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_elements", "_view")
+    __slots__ = (
+        "degree", "generators", "_chain", "_order", "_elements", "_view", "_index_classes"
+    )
 
     def __init__(self, degree, generators=(), order=None):
         if degree < 1:
@@ -176,6 +182,7 @@ class PermGroup:
         self._order = order
         self._elements = None
         self._view = None  # engine.view_of
+        self._index_classes = None  # subgroups.transitive_subgroup_classes
 
     @property
     def _levels(self):

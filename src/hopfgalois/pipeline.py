@@ -67,11 +67,17 @@ class CatalogueEntry:
 
     @classmethod
     def from_json(cls, rec: dict, degree: int, type_label: str) -> "CatalogueEntry":
+        """The entry of a record.  Its group gets the order proved when the
+        record was written, and its stabilizer, of index the degree in a
+        transitive group, that order over the degree."""
+        order, entry_id, class_size = (
+            operator.index(rec[k]) for k in ("order", "entry_id", "class_size")
+        )
         return cls(
             degree, type_label,
-            PermGroup(degree, _perms(degree, rec["group"])),
-            PermGroup(degree, _perms(degree, rec["stabilizer"])),
-            *(operator.index(rec[k]) for k in ("order", "entry_id", "class_size")),
+            PermGroup(degree, _perms(degree, rec["group"]), order),
+            PermGroup(degree, _perms(degree, rec["stabilizer"]), order // degree),
+            order, entry_id, class_size,
         )
 
 
@@ -134,10 +140,16 @@ def build_catalogue(
     """All transitive subgroup classes across the holomorphs of order n.
 
     Entries are deterministic: group types in catalogue order, classes by
-    (order, canonical key); ids number the concatenation.  With a cache
-    directory, per-type files are reused when their version stamps match;
-    a file that does not decode, holds no entry list, or holds an entry
-    that does not decode is rebuilt.
+    (order, canonical key); ids number the concatenation.  Each type's
+    last entry is Hol(N) itself, whose group carries the records of its
+    index-n classes from the lattice run here (see
+    ``index_n_subgroup_classes``).  With a cache directory, per-type files
+    are reused when their version stamps and CRC match; a file that does
+    not decode, holds no entry list, or holds an entry that does not
+    decode is rebuilt.  A file keeps each entry's order, given back to its
+    group and, divided by n, to its stabilizer, and the Hol(N) records, so
+    an entry read back builds no stabilizer chain, and Hol(N) reads its
+    index-n classes off the records as a freshly built one does.
     ``resume`` only picks the default cache directory when ``cache_dir``
     is not given; it changes nothing else here.
     """
@@ -146,7 +158,7 @@ def build_catalogue(
     entry_id = 0
     for N in groups_of_order(n).groups:
         cached = cache_path and cachemod.read_catalogue_file(
-            cache_path, n, N.label, lambda rec: CatalogueEntry.from_json(rec, n, N.label)
+            cache_path, n, N.label, lambda obj: _read_type(obj, n, N.label)
         )
         if cached is not None:
             catalogue.extend(cached)
@@ -171,10 +183,21 @@ def build_catalogue(
                     "degree": n,
                     "type_label": N.label,
                     "entries": [e.to_json() for e in fresh],
+                    "holomorph_classes": fresh[-1].group._index_classes,
                 },
             )
         catalogue.extend(fresh)
     return catalogue
+
+
+def _read_type(obj: dict, n: int, type_label: str) -> list[CatalogueEntry]:
+    """The entries of one type's catalogue file, the last, Hol(N), with
+    the records of its index-n classes that the file keeps beside them."""
+    entries = [CatalogueEntry.from_json(rec, n, type_label) for rec in obj["entries"]]
+    entries[-1].group._index_classes = tuple(
+        (order, size, tuple(key)) for order, size, key in obj["holomorph_classes"]
+    )
+    return entries
 
 
 def _cycle_key(G: PermGroup) -> tuple:

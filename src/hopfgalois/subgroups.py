@@ -221,12 +221,34 @@ def _preimages(power_map) -> tuple[array, array]:
     return xs, start
 
 
+def _check_order(G: PermGroup, max_order: int):
+    if G.order() > max_order:
+        raise ResourceLimitError(
+            f"subgroup enumeration bound exceeded: |G| = {G.order()} > {max_order}"
+        )
+
+
+def _classes_of(G: PermGroup, view, records, keep=None) -> list[SubgroupClass]:
+    """The classes of lattice records (order, class_size, key, generator
+    indices or None) by (order, key); with ``keep``, only those for which
+    ``keep(order, generator permutations)`` holds, and only their
+    representatives are built.  A record without generators gets the
+    greedy generators of its key's elements, as the lattice picks them."""
+    out = []
+    for order, class_size, key, gens in records:
+        gens = [view.elements[i] for i in gens or view.greedy_generators(frozenset(key))]
+        if keep is not None and not keep(order, gens):
+            continue
+        # greedy_generators proved that gens generate ``order`` elements
+        rep = PermGroup(G.degree, gens, order)
+        out.append(SubgroupClass(representative=rep, class_size=class_size, order=order, key=key))
+    out.sort(key=lambda c: (c.order, c.key))
+    return out
+
+
 class _Lattice:
     def __init__(self, G: PermGroup, order_divides=None, max_order=DEFAULT_MAX_ORDER):
-        if G.order() > max_order:
-            raise ResourceLimitError(
-                f"subgroup enumeration bound exceeded: |G| = {G.order()} > {max_order}"
-            )
+        _check_order(G, max_order)
         self.G = G
         self.view = view_of(G)
         self.size = self.view.size
@@ -327,27 +349,10 @@ class _Lattice:
     # -- output ------------------------------------------------------------
 
     def result(self, keep=None) -> list[SubgroupClass]:
-        """The classes by (order, key); with ``keep``, only those for which
-        ``keep(order, generator permutations)`` holds, and only their
-        representatives are built."""
-        view = self.view
-        out = []
-        for rec in self.classes:
-            gens = [view.elements[i] for i in rec.get("gens") or view.greedy_generators(rec["rep"])]
-            if keep is not None and not keep(rec["order"], gens):
-                continue
-            # greedy_generators proved that gens generate rec["order"] elements
-            rep = PermGroup(self.G.degree, gens, rec["order"])
-            out.append(
-                SubgroupClass(
-                    representative=rep,
-                    class_size=rec["class_size"],
-                    order=rec["order"],
-                    key=rec["key"],
-                )
-            )
-        out.sort(key=lambda c: (c.order, c.key))
-        return out
+        """The classes by (order, key), filtered by ``keep`` as
+        ``_classes_of`` does."""
+        records = ((r["order"], r["class_size"], r["key"], r.get("gens")) for r in self.classes)
+        return _classes_of(self.G, self.view, records, keep)
 
 
 def all_subgroup_classes(G: PermGroup) -> list[SubgroupClass]:
@@ -360,23 +365,44 @@ def all_subgroup_classes(G: PermGroup) -> list[SubgroupClass]:
 def index_n_subgroup_classes(
     G: PermGroup, n: int, *, max_order: int = DEFAULT_MAX_ORDER
 ) -> list[SubgroupClass]:
-    """Conjugacy classes of subgroups of order |G|/n."""
+    """Conjugacy classes of subgroups of order |G|/n, by (order, key).
+
+    A group that carries the lattice records of its classes of index
+    ``G.degree`` (a whole holomorph from ``transitive_subgroup_classes``,
+    or its catalogue entry read back from a file) gets its classes for
+    n = G.degree from them, with the representatives the lattice would
+    build; the ``max_order`` guard still applies.  Every other call runs
+    the lattice."""
     if G.order() % n != 0:
         raise PreconditionError(f"index {n} does not divide |G| = {G.order()}")
     target = G.order() // n
+    if n == G.degree and G._index_classes is not None:
+        _check_order(G, max_order)
+        return _classes_of(G, view_of(G), ((*r, None) for r in G._index_classes))
     lat = _Lattice(G, target, max_order)
     lat.run()
     return lat.result(lambda order, gens: order == target)
 
 
 def transitive_subgroup_classes(hol, *, max_order: int = DEFAULT_MAX_ORDER) -> list[SubgroupClass]:
-    """Transitive subgroup classes of a holomorph, up to conjugacy there."""
+    """Transitive subgroup classes of a holomorph, up to conjugacy there.
+
+    The last is the whole group, and its representative is handed the
+    lattice's (order, class_size, key) records of the classes of index
+    the degree, for ``index_n_subgroup_classes``.  A key indexes the
+    group's sorted element list, so a change to that order must bump
+    ``cache.ALGORITHM_VERSION``: catalogue files store these records."""
     degree = hol.group.degree
     lat = _Lattice(hol.group, None, max_order)
     lat.run()
-    return lat.result(
+    classes = lat.result(
         lambda order, gens: order % degree == 0 and len(orbit_of(gens)) == degree
     )
+    target = lat.size // degree
+    classes[-1].representative._index_classes = tuple(sorted(
+        (r["order"], r["class_size"], r["key"]) for r in lat.classes if r["order"] == target
+    ))
+    return classes
 
 
 def class_key_of(G: PermGroup, H: PermGroup) -> tuple:

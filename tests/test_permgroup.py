@@ -357,8 +357,8 @@ def test_degree_runs_build_chains_only_where_an_output_needs_one(tmp_path, monke
     """A fresh run builds one chain per catalogue entry, the prefixed one
     that gives its Stab(0), and one per holomorph, for its order check; no
     pair test or core builds one.  A run on the cached catalogue builds
-    chains only for entries read back from their files, never for a
-    quotient's J'."""
+    none: entries read back from their files carry the orders proved when
+    the files were written."""
     from hopfgalois.groups import groups_of_order
     from hopfgalois.pipeline import build_catalogue, detect_no_hgs
 
@@ -374,8 +374,7 @@ def test_degree_runs_build_chains_only_where_an_output_needs_one(tmp_path, monke
     assert len(calls) == len(prefixed) + len(hol)
     calls.clear()
     detect_no_hgs(n, cache_dir=tmp_path)
-    read_back = {g for e in catalogue for g in (e.group.generators, e.stabilizer.generators)}
-    assert calls and all(gens in read_back for gens, _ in calls)
+    assert calls == []
 
 
 def test_class_moves_build_no_stabilizer_chain(monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import re
+import zlib
 
 import pytest
 
@@ -153,31 +155,87 @@ def test_resume_reanalyses_only_a_torn_entry(tmp_path, monkeypatch):
     assert calls == []
 
 
+def _crc_checked(obj) -> bytes:
+    """``obj`` laid out as a catalogue file, with a CRC head that matches,
+    so that only its shape can make it a miss."""
+    obj = {k: v for k, v in obj.items() if k != "crc32"}
+    body = json.dumps(obj, indent=1, sort_keys=True)[1:].encode()
+    return b'{"crc32": "%08x",' % zlib.crc32(body) + body
+
+
+def _without(text, key):
+    return _crc_checked({k: v for k, v in json.loads(text).items() if k != key})
+
+
 def _first_entry(text, change):
     obj = json.loads(text)
     obj["entries"][0] = change(obj["entries"][0])
-    return json.dumps(obj).encode()
+    return _crc_checked(obj)
 
 
 @pytest.mark.parametrize("damage", [
     lambda text: b"\xff\xfe" + text.encode(),
-    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "entries"}).encode(),
+    lambda text: _without(text, "entries"),
     lambda text: _first_entry(text, lambda e: {"x": 1}),
     lambda text: _first_entry(text, lambda e: dict(e, group="zz")),
-], ids=["undecodable", "stamp-without-entries", "entry-without-group", "group-not-a-list"])
+    lambda text: _without(text, "holomorph_classes"),
+], ids=["undecodable", "stamp-without-entries", "entry-without-group", "group-not-a-list",
+        "stamp-without-holomorph-classes"])
 def test_damaged_catalogue_file_is_rebuilt(tmp_path, damage):
-    """A catalogue file that does not decode, a stamped one with no
-    entries, or one with an entry that does not decode reads as a miss:
-    its type is rebuilt and the file rewritten."""
+    """A catalogue file that does not decode, or one whose CRC matches but
+    that has no entries, an entry that does not decode or no Hol(N)
+    classes, reads as a miss: its type is rebuilt and the file rewritten."""
     fresh = build_catalogue(4, cache_dir=tmp_path)
     path = next(tmp_path.glob("catalogue_deg4_*.json"))
     good = path.read_bytes()
+    assert _crc_checked(json.loads(good)) == good
     path.write_bytes(damage(good.decode()))
     again = build_catalogue(4, cache_dir=tmp_path)
     assert [e.to_json() for e in again] == [e.to_json() for e in fresh]
     assert path.read_bytes() == good
     path.write_bytes(damage(good.decode()))
     assert main(["no-hgs", "--degree", "4", "--cache-dir", str(tmp_path)]) == 0
+    assert path.read_bytes() == good
+
+
+def _first_innermost_list(text, after):
+    """The match of the first list holding no list past ``after``."""
+    return re.compile(r"\[[^\[\]]*\]").search(text, text.index(after))
+
+
+def _swap_images_1_2(text):
+    """The first generator of the first entry, with images 1 and 2 swapped."""
+    gen = _first_innermost_list(text, '"group": [')
+    swapped = re.sub(r"\b[12]\b", lambda m: "21"[int(m[0]) - 1], gen[0])
+    return text[:gen.start()] + swapped + text[gen.end():]
+
+
+def _double_first_order(text):
+    return re.sub(r'"order": (\d+)', lambda m: f'"order": {2 * int(m[1])}', text, count=1)
+
+
+def _alter_holomorph_key(text):
+    """The first stored Hol(N) class key, its last element raised by one."""
+    key = _first_innermost_list(text, '"holomorph_classes"')
+    altered = re.sub(r"(\d+)(\s*\])$", lambda m: f"{int(m[1]) + 1}{m[2]}", key[0])
+    return text[:key.start()] + altered + text[key.end():]
+
+
+@pytest.mark.parametrize("alter", [_swap_images_1_2, _double_first_order, _alter_holomorph_key],
+                         ids=["swapped-images", "altered-order", "altered-holomorph-key"])
+def test_altered_catalogue_file_is_rebuilt(tmp_path, alter):
+    """A catalogue file with one value altered, still of the right shape,
+    fails its CRC and reads as a miss: the degree-8 row stays (148, 8) and
+    the file is rewritten byte for byte.  Trusted, the swapped images give
+    a group of order 64 with the recorded order 8, and the row (148, 9)."""
+    first = detect_no_hgs(8, cache_dir=tmp_path)
+    path = cache.catalogue_path(tmp_path, 8, "8.2")
+    good = path.read_bytes()
+    altered = alter(good.decode()).encode()
+    assert altered != good
+    path.write_bytes(altered)
+    assert detect_no_hgs(8, cache_dir=tmp_path) == first
+    assert _row(first) == (8, 148, 8)
     assert path.read_bytes() == good
 
 

@@ -244,26 +244,28 @@ def test_perfect_groups_have_no_subgroup_of_index_at_most_4():
         assert all(G.order() // c.order >= 5 for c in proper)
 
 
-def _entry_38():
+def _entry_38_group():
+    """Catalogue entry 38, Hol(C2^3), as a group that carries no lattice
+    records, so that its index-8 classes come from a lattice run."""
     from hopfgalois.pipeline import build_catalogue
 
     (entry,) = [e for e in build_catalogue(8) if e.entry_id == 38]
     assert entry.order == 1344
-    return entry
+    return PermGroup(8, entry.group.generators)
 
 
 def test_sweep_table_serves_a_smaller_cap(monkeypatch):
     """After the lattice of Hol(C2^3), the index-8 lattice of catalogue
     entry 38, the same group on the same element set, closes no sweep
     pair, and gives the classes it gives with the table cleared."""
-    entry = _entry_38()
+    G = _entry_38_group()
     subgroups._SWEEPS.clear()
     transitive_subgroup_classes(_hol_c2_cubed_holomorph())
     calls = _count_sweep_closures(monkeypatch)
-    served = index_n_subgroup_classes(entry.group, 8)
+    served = index_n_subgroup_classes(G, 8)
     assert not calls
     subgroups._SWEEPS.clear()
-    fresh = index_n_subgroup_classes(entry.group, 8)
+    fresh = index_n_subgroup_classes(G, 8)
     assert calls
     assert _described(served) == _described(fresh)
 
@@ -278,9 +280,9 @@ def test_sweep_table_sweeps_again_for_a_larger_cap(monkeypatch):
     from hopfgalois.pipeline import build_catalogue
     from test_tooling import CATALOGUE_DIGESTS
 
-    entry = _entry_38()
+    G = _entry_38_group()
     subgroups._SWEEPS.clear()
-    index_n_subgroup_classes(entry.group, 8)
+    index_n_subgroup_classes(G, 8)
     calls = _count_sweep_closures(monkeypatch)
     payload = json.dumps([e.to_json() for e in build_catalogue(8)], sort_keys=True)
     assert calls
@@ -448,3 +450,29 @@ def test_index_n_classes_equal_filtered_full_lattice(n):
         full = [c for c in all_subgroup_classes(entry.group) if c.order == target]
         assert _described(index_n_subgroup_classes(entry.group, n)) == _described(full), (
             n, entry.entry_id)
+
+
+@pytest.mark.parametrize("n", [*range(4, 13), 21, 55])
+def test_stored_index_n_classes_equal_the_lattice(tmp_path, n):
+    """The Hol(N) entry of each type, built fresh or read back from its
+    file, gets its index-n classes off the catalogue lattice's records;
+    they equal the lattice run on a copy of its group that carries none,
+    and the ``max_order`` guard still applies.  Every entry read back has
+    the orders that a copy proves by its chain."""
+    from hopfgalois.pipeline import build_catalogue
+
+    fresh = build_catalogue(n, cache_dir=tmp_path)
+    back = build_catalogue(n, cache_dir=tmp_path)
+    for catalogue in (fresh, back):
+        hol = [e for e in catalogue if e.group._index_classes is not None]
+        last = {e.type_label: e for e in catalogue}
+        assert hol == list(last.values())
+        for entry in hol:
+            plain = PermGroup(n, entry.group.generators)
+            assert _described(index_n_subgroup_classes(entry.group, n)) == _described(
+                index_n_subgroup_classes(plain, n)), (n, entry.entry_id)
+            with pytest.raises(ResourceLimitError):
+                index_n_subgroup_classes(entry.group, n, max_order=entry.order - 1)
+    for entry in back:
+        assert entry.group.order() == PermGroup(n, entry.group.generators).order()
+        assert entry.stabilizer.order() == PermGroup(n, entry.stabilizer.generators).order()
