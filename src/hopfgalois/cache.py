@@ -2,8 +2,9 @@
 
 Every cache file carries (grouplib_version, algorithm_version); a mismatch
 invalidates the file so stale enumerations are never reused across
-algorithm changes.  A catalogue file also carries a CRC-32 of its bytes,
-so one damaged by accident is rebuilt rather than trusted.
+algorithm changes.  A catalogue file and each report-log line also carry
+a CRC-32 of their bytes, so one damaged by accident is rebuilt or redone
+rather than trusted.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .errors import PreconditionError
 GROUPLIB_VERSION = "1"
 ALGORITHM_VERSION = "1"
 # the format versions of catalogue files (2 added the CRC head and the
-# Hol(N) classes) and of report logs
+# Hol(N) classes) and of report logs (2 added the CRC head per line)
 CACHE_FORMAT_VERSION = 2
-LOG_FORMAT_VERSION = 1
+LOG_FORMAT_VERSION = 2
 
 ENV_CACHE_DIR = "HOPFGALOIS_CACHE_DIR"
 
@@ -56,10 +57,10 @@ def stamp_valid(obj, version: int = LOG_FORMAT_VERSION) -> bool:
     return isinstance(obj, dict) and all(obj.get(k) == v for k, v in _stamp(version).items())
 
 
-def _write_atomic(path: Path, text: str):
+def _write_atomic(path: Path, data: bytes):
     """Write beside the target, then rename: readers never see half a file."""
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     tmp.replace(path)
 
 
@@ -68,18 +69,31 @@ def catalogue_path(cache_dir: Path, degree: int, type_label: str) -> Path:
     return cache_dir / f"catalogue_deg{degree}_{safe}.json"
 
 
-# a catalogue file opens with the CRC-32 of the bytes after this head
+# a catalogue file and a report-log line open with the CRC-32 of the
+# bytes after this head
 _CRC_HEAD = '{"crc32": "%08x",'
 _CRC_HEAD_LEN = len(_CRC_HEAD % 0)
+
+
+def _framed(obj: dict, indent=None) -> str:
+    """The JSON object ``obj`` (nonempty) behind a CRC head."""
+    body = json.dumps(obj, indent=indent, sort_keys=True)[1:]  # past its "{"
+    return _CRC_HEAD % zlib.crc32(body.encode()) + body
+
+
+def _unframed(raw: bytes) -> dict:
+    """The object of bytes that ``_framed`` wrote, checked on the bytes as
+    read; ValueError when the CRC is not the head's or they do not parse."""
+    if raw[:_CRC_HEAD_LEN] != (_CRC_HEAD % zlib.crc32(raw[_CRC_HEAD_LEN:])).encode():
+        raise ValueError("CRC-32 mismatch")
+    return json.loads(raw)
 
 
 def write_catalogue_file(cache_dir: Path, degree: int, type_label: str, payload: dict):
     """One JSON object: the CRC head, then the stamp and ``payload``."""
     obj = _stamp(CACHE_FORMAT_VERSION)
     obj.update(payload)
-    body = json.dumps(obj, indent=1, sort_keys=True)[1:]  # past its "{"
-    path = catalogue_path(cache_dir, degree, type_label)
-    _write_atomic(path, _CRC_HEAD % zlib.crc32(body.encode()) + body)
+    _write_atomic(catalogue_path(cache_dir, degree, type_label), _framed(obj, indent=1).encode())
 
 
 def read_catalogue_file(cache_dir: Path, degree: int, type_label: str, decode):
@@ -88,11 +102,8 @@ def read_catalogue_file(cache_dir: Path, degree: int, type_label: str, decode):
     JSON object, an object that ``decode`` rejects), so the type is
     rebuilt.  The CRC is checked on the bytes as read, so what ``decode``
     sees is what was written, values included."""
-    try:  # a missing file raises OSError, bad JSON or bytes a ValueError
-        raw = catalogue_path(cache_dir, degree, type_label).read_bytes()
-        if raw[:_CRC_HEAD_LEN] != (_CRC_HEAD % zlib.crc32(raw[_CRC_HEAD_LEN:])).encode():
-            return None
-        obj = json.loads(raw)
+    try:  # a missing file raises OSError, a bad CRC, JSON or bytes a ValueError
+        obj = _unframed(catalogue_path(cache_dir, degree, type_label).read_bytes())
         return decode(obj) if stamp_valid(obj, CACHE_FORMAT_VERSION) else None
     except (OSError, *_DECODE_ERRORS):
         return None
@@ -102,44 +113,41 @@ def reports_path(cache_dir: Path, degree: int) -> Path:
     return cache_dir / f"reports_deg{degree}.jsonl"
 
 
-def _line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
 def append_report_line(cache_dir: Path, degree: int, record: dict):
     with reports_path(cache_dir, degree).open("a") as fh:
-        fh.write(_line(record))
+        fh.write(_framed(record) + "\n")
 
 
-def read_report_lines(cache_dir: Path, degree: int) -> list[dict]:
-    """The log's lines up to the first that does not decode or parse, such
-    as the torn last line a killed run leaves."""
+def read_report_lines(cache_dir: Path, degree: int) -> list[tuple[dict, bytes]]:
+    """The log's records, each with its line as read (without the line
+    break), up to the first line whose CRC fails or that does not parse,
+    such as the torn last line a killed run leaves."""
     path = reports_path(cache_dir, degree)
     if not path.exists():
         return []
     out = []
     for line in path.read_bytes().splitlines():
         try:
-            out.append(json.loads(line.decode()))
-        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            out.append((_unframed(line), line))
+        except ValueError:  # a bad CRC, JSONDecodeError and UnicodeDecodeError
             break
     return out
 
 
 def open_report_log(cache_dir: Path, degree: int, resume: bool, decode) -> list:
-    """Rewrite the log (a stamp, then a line per finished entry) and
-    return ``decode`` of each entry line kept: with ``resume``, those of a
-    log with a valid stamp, up to one that is torn or does not decode;
-    otherwise none."""
+    """Rewrite the log (a stamp, then a line per finished entry, each kept
+    line byte for byte) and return ``decode`` of each entry line kept: with
+    ``resume``, those of a log with a valid stamp, up to one that is torn,
+    fails its CRC or does not decode; otherwise none."""
     lines = read_report_lines(cache_dir, degree) if resume else []
     decoded = []
-    for line in lines[1:] if lines and stamp_valid(lines[0]) else ():
+    for record, _ in lines[1:] if lines and stamp_valid(lines[0][0]) else ():
         try:
-            decoded.append(decode(line))
+            decoded.append(decode(record))
         except _DECODE_ERRORS:
             break
-    kept = lines[1:1 + len(decoded)]
-    _write_atomic(reports_path(cache_dir, degree), "".join(map(_line, [_stamp(), *kept])))
+    kept = b"".join(line + b"\n" for _, line in lines[1:1 + len(decoded)])
+    _write_atomic(reports_path(cache_dir, degree), (_framed(_stamp()) + "\n").encode() + kept)
     return decoded
 
 
@@ -192,5 +200,5 @@ def record_fixture(cache_dir: Path, key: str, value) -> tuple[bool, dict | None]
         "algorithm_version": ALGORITHM_VERSION,
     }
     fixtures[key] = entry
-    _write_atomic(fixtures_path(cache_dir), json.dumps(fixtures, indent=1, sort_keys=True))
+    _write_atomic(fixtures_path(cache_dir), json.dumps(fixtures, indent=1, sort_keys=True).encode())
     return True, None

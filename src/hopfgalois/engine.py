@@ -22,6 +22,7 @@ import math
 from array import array
 from collections import Counter
 
+from .errors import PreconditionError
 from .perms import (
     compose,
     cycle_length_at,
@@ -359,6 +360,14 @@ class GroupView:
     def conjugation_map(self, g: int):
         """Array m with m[x] = g x g^{-1}."""
         return array("i", self.conjugates(g, range(self.size)))
+
+    def subgroup_indices(self, H) -> frozenset:
+        """The indices of the permutation group H's elements, which must
+        all lie in the view."""
+        try:
+            return frozenset(map(self._index.__getitem__, H.elements()))
+        except KeyError:
+            raise PreconditionError("subgroup is not contained in the viewed group") from None
 
     def generator_conjugation_maps(self) -> list:
         """The conjugation maps of ``generators()``, built once."""

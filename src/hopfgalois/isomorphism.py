@@ -60,13 +60,6 @@ def _bounded_views(G, M):
     return view_of(G), view_of(M)
 
 
-def _subgroup_indices(view, H: PermGroup) -> frozenset:
-    try:
-        return frozenset(view._index[h] for h in H.elements())
-    except KeyError:
-        raise PreconditionError("designated subgroup is not contained in its parent") from None
-
-
 def is_point_stabilizer_pair(G: PermGroup, G_sub: PermGroup) -> bool:
     """Whether G is transitive and G_sub is its stabilizer of point 0."""
     return (
@@ -203,7 +196,7 @@ def _regular_search(G, G_sub, M, M_sub) -> PairWitness | None:
     va, vb = _bounded_views(G, M)
     sub_a = sub_b = None
     if G_sub is not None:
-        sub_a, sub_b = _subgroup_indices(va, G_sub), _subgroup_indices(vb, M_sub)
+        sub_a, sub_b = va.subgroup_indices(G_sub), vb.subgroup_indices(M_sub)
     if va.invariant_vector() != vb.invariant_vector() or (
         sub_a is not None
         and va.subgroup_order_histogram(sub_a) != vb.subgroup_order_histogram(sub_b)

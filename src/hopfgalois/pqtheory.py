@@ -379,7 +379,8 @@ def verify_pq(p: int, q: int) -> PqVerification:
     labels = sorted({e.type_label for e in catalogue})
     cyclic_label = labels[0]
     N_cyc = groups_of_order(n).groups[0]
-    hol_groups = {N.label: holomorph(N).group for N in groups_of_order(n).groups}
+    # the last entry of each type is its Hol(N)
+    hol_groups = {e.type_label: e.group for e in catalogue}
     lam_tau = make_perm(N_cyc.table[params.p % n])
 
     # (a) family lists match the generic enumeration
@@ -399,7 +400,6 @@ def verify_pq(p: int, q: int) -> PqVerification:
             matched[e.entry_id] = hit
         else:
             unmatched_meta.append(e)
-    del hol_groups  # free the holomorphs' views before the analyses below
     check(
         "families_cover_enumeration",
         not by_key,

@@ -9,12 +9,11 @@ is formed.  Solvable ambient groups are fully covered this way; otherwise
 the walk is also seeded with the perfect subgroups, of the orders it is
 after only (none when those force solvability).  They all lie in the
 perfect residual G^(oo), so the search runs inside it (on a view of its
-own when it is proper): G^(oo) itself, and the perfect residuals of
-two-generated subgroups (every perfect group within the supported order
-range is 2-generated).  <x, y> depends only on the cyclic subgroups <x>
-and <y>, so one pair is closed per pair of cyclic subgroups up to
-conjugacy and swapping, and the sweep runs at most once per element set:
-a later call with no larger a cap is served from a bounded table.
+own when it is proper): G^(oo) itself, and the two-generated subgroups
+that are perfect (every perfect group within the supported order range
+is 2-generated).  <x, y> depends only on the cyclic subgroups <x> and
+<y>, so one pair is closed per pair of cyclic subgroups up to conjugacy
+and swapping.
 
 Deduplication keys every conjugate of every discovered subgroup, so a
 candidate is recognized in one set lookup; class sizes and normalizers fall
@@ -132,80 +131,28 @@ def _sweep_pairs(view):
             yield x, y
 
 
-# element set -> (cap, perfect subgroups) of the last sweep on it
-_SWEEPS: dict[tuple, tuple] = {}
-_SWEEPS_MAXSIZE = 32
-
-
 def _perfect_subgroups(view, cap: int) -> list[frozenset]:
     """Perfect subgroups of the view's group, which must be perfect, at
     least one in each class of nontrivial proper ones of order at most
-    ``cap``: perfect residuals of two-generated subgroups, then a round that
-    extends each one found by single class representatives.
+    ``cap``: the closures of the ``_sweep_pairs`` pairs that are their own
+    derived subgroups.
 
-    Only the pairs of ``_sweep_pairs`` are closed, one per pair of cyclic
-    subgroups up to conjugacy and swapping.  A perfect group has no proper
-    subgroup of index k <= 4: its action on the k cosets would have a
-    perfect transitive image in the solvable Sym(k).  So a closure, in the
-    sweep or the round, past a fifth of the group is the whole group and is
-    cut off there, and so is one past ``cap`` when that is smaller: a
-    wanted perfect P is itself 2-generated, so some pair closes to a
-    conjugate of P within the cap.  Subgroups whose order forces
-    solvability are dismissed without computing a derived series.
-
-    The result depends on the element set alone, and a sweep with a
-    larger cap finds a superset of the sets one with a smaller cap finds.
-    So the last sweep on each element set is kept in a bounded table, and
-    a call whose cap, cut at a fifth of the group, is no larger than the
-    stored one is served from it, keeping the sets of order at most its
-    cap; these are all genuine perfect subgroups, so the lattice's classes
-    do not change."""
+    A perfect group has no proper subgroup of index k <= 4: its action on
+    the k cosets would have a perfect transitive image in the solvable
+    Sym(k).  So a closure past a fifth of the group is the whole group and
+    is cut off there, and so is one past ``cap`` when that is smaller.  A
+    wanted perfect P is itself 2-generated, P = <a, b>, and
+    ``_sweep_pairs`` has a pair (x, y) with <x, y> a conjugate of P, which
+    is found within the cut.  A closure whose order forces solvability is
+    dismissed without computing its derived subgroup."""
     cap = min(cap, view.size // 5)
-    key = tuple(view.elements)
-    stored = _SWEEPS.pop(key, None)
-    if stored is not None and stored[0] >= cap:
-        _SWEEPS[key] = stored
-        return [P for P in stored[1] if len(P) <= cap]
-    classes = view.conj_classes()
-    orders = view.element_orders()
-    found: dict[frozenset, None] = {}
-    residual_cache: dict[frozenset, frozenset] = {}
-
-    def residual(S):
-        if _order_forces_solvable(len(S)):
-            return None
-        R = residual_cache.get(S)
-        if R is None:
-            R = residual_cache[S] = view.perfect_residual(S)
-        return R
-
+    perfect: dict[frozenset, bool] = {}
     for x, y in _sweep_pairs(view):
         S = view.closure([x, y], maxsize=cap)
-        if S is not None:
-            R = residual(S)
-            if R is not None and len(R) > 1:
-                found.setdefault(R)
-    # residual closure: extend each perfect subgroup by single elements
-    frontier = list(found)
-    while frontier:
-        new = []
-        for P in frontier:
-            pgens = view.greedy_generators(P)
-            for c in classes:
-                g = c[0]
-                if g in P or orders[g] == 1:
-                    continue
-                S = view.closure(list(pgens) + [g], maxsize=cap)
-                fresh = None if S is None else residual(S)
-                if fresh is not None and len(fresh) > 1 and fresh not in found:
-                    found.setdefault(fresh)
-                    new.append(fresh)
-        frontier = new
-    result = sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
-    if len(_SWEEPS) >= _SWEEPS_MAXSIZE:
-        del _SWEEPS[next(iter(_SWEEPS))]
-    _SWEEPS[key] = (cap, result)
-    return result
+        if S is None or S in perfect or _order_forces_solvable(len(S)):
+            continue
+        perfect[S] = view.derived_subgroup_of(S) == S
+    return [S for S, is_perfect in perfect.items() if is_perfect]
 
 
 def _preimages(power_map) -> tuple[array, array]:
@@ -409,11 +356,7 @@ def class_key_of(G: PermGroup, H: PermGroup) -> tuple:
     """Canonical key of H's conjugacy class inside G (minimal conjugate,
     as a sorted tuple of element indices in G's sorted element list)."""
     view = view_of(G)
-    try:
-        start = frozenset(view._index[h] for h in H.elements())
-    except KeyError:
-        raise PreconditionError("H is not contained in G") from None
-    return _conjugacy_orbit(view.generator_conjugation_maps(), start)[1]
+    return _conjugacy_orbit(view.generator_conjugation_maps(), view.subgroup_indices(H))[1]
 
 
 # -- classification -------------------------------------------------------

@@ -155,11 +155,12 @@ def test_resume_reanalyses_only_a_torn_entry(tmp_path, monkeypatch):
     assert calls == []
 
 
-def _crc_checked(obj) -> bytes:
-    """``obj`` laid out as a catalogue file, with a CRC head that matches,
-    so that only its shape can make it a miss."""
+def _crc_checked(obj, indent=1) -> bytes:
+    """``obj`` laid out as a catalogue file (as a report-log line with no
+    ``indent``), with a CRC head that matches, so that only its shape can
+    make it a miss."""
     obj = {k: v for k, v in obj.items() if k != "crc32"}
-    body = json.dumps(obj, indent=1, sort_keys=True)[1:].encode()
+    body = json.dumps(obj, indent=indent, sort_keys=True)[1:].encode()
     return b'{"crc32": "%08x",' % zlib.crc32(body) + body
 
 
@@ -253,7 +254,7 @@ def test_resume_keeps_the_lines_before_undecodable_bytes(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("damage, redone", [
-    (lambda lines: [*lines[:2], b'{"x": 1}\n', *lines[3:]], 1),
+    (lambda lines: [*lines[:2], _crc_checked({"x": 1}, None) + b"\n", *lines[3:]], 1),
     (lambda lines: [b"[1]\n", *lines[1:]], 0),
 ], ids=["line-without-witnesses", "stamp-not-an-object"])
 def test_resume_ends_the_log_at_a_record_of_the_wrong_shape(tmp_path, monkeypatch, damage, redone):
@@ -269,6 +270,53 @@ def test_resume_ends_the_log_at_a_record_of_the_wrong_shape(tmp_path, monkeypatc
     assert detect_no_hgs(6, cache_dir=tmp_path, resume=True) == first
     assert calls == list(range(redone, first.total_transitive_classes))
     assert log.read_bytes() == good
+
+
+def _first_witness_line(lines) -> int:
+    """The index of the first logged entry with a no-HGS report."""
+    return next(i for i, line in enumerate(lines) if i and b'"witnesses": []' not in line)
+
+
+def _alter_line(lines, pattern, repl):
+    """The log's lines with the first witness line altered by one regex
+    substitution."""
+    i = _first_witness_line(lines)
+    altered = re.sub(pattern, repl, lines[i], count=1)
+    assert altered != lines[i]
+    return b"".join([*lines[:i], altered, *lines[i + 1:]])
+
+
+def test_resume_redoes_an_entry_whose_witnesses_were_emptied(tmp_path, monkeypatch):
+    """A logged no-HGS entry whose witness list was emptied fails its
+    line's CRC and ends the log, as a torn line does: resume redoes the
+    entries from there, the degree-8 row stays (148, 8) and the log is
+    rewritten byte for byte.  Trusted, the line gives the row (148, 7)."""
+    first = detect_no_hgs(8, cache_dir=tmp_path)
+    log = cache.reports_path(tmp_path, 8)
+    good = log.read_bytes()
+    lines = good.splitlines(keepends=True)
+    log.write_bytes(_alter_line(lines, rb'"witnesses": \[.*\]', b'"witnesses": []'))
+    calls = _count_analyses(monkeypatch)
+    assert _row(detect_no_hgs(8, cache_dir=tmp_path, resume=True)) == _row(first) == (8, 148, 8)
+    assert calls[0] == json.loads(lines[_first_witness_line(lines)])["entry_id"]
+    assert log.read_bytes() == good
+
+
+@pytest.mark.parametrize("pattern, repl", [
+    (rb'"core_order": (\d+)', lambda m: b'"core_order": %d' % (2 * int(m[1]))),
+    (rb'"scanned": \[\d+, ', b'"scanned": ['),
+], ids=["altered-core-order", "altered-scanned"])
+def test_resumed_witnesses_ignore_an_altered_log_line(tmp_path, capsys, pattern, repl):
+    """A logged witness with one value altered fails its line's CRC: the
+    resumed ``--emit-witnesses`` output is the fresh run's."""
+    argv = ["no-hgs", "--degree", "8", "--emit-witnesses", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    log = cache.reports_path(tmp_path, 8)
+    log.write_bytes(_alter_line(log.read_bytes().splitlines(keepends=True), pattern, repl))
+    assert main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_resume_restarts_a_stale_log(tmp_path, monkeypatch):

@@ -2,12 +2,11 @@ import sys
 
 import pytest
 
-from hopfgalois import subgroups
 from hopfgalois.engine import GroupView, view_of
 from hopfgalois.errors import PreconditionError, ResourceLimitError
 from hopfgalois.groups import groups_of_order
 from hopfgalois.holomorph import holomorph
-from hopfgalois.permgroup import PermGroup
+from hopfgalois.permgroup import PermGroup, group_from_elements
 from hopfgalois.perms import parse_perm
 from hopfgalois.subgroups import (
     all_subgroup_classes,
@@ -126,12 +125,16 @@ def test_solvability():
     assert residual_size(PermGroup(5, [parse_perm("(0 1 2 3 4)"), parse_perm("(0 1)")])) == 60
 
 
-def _hol_c2_cubed_holomorph():
-    return next(h for h in map(holomorph, groups_of_order(8).groups) if h.group.order() == 1344)
-
-
 def _hol_c2_cubed():
-    return _hol_c2_cubed_holomorph().group
+    return next(h for h in map(holomorph, groups_of_order(8).groups) if h.group.order() == 1344).group
+
+
+def _hol_residual(N):
+    """The perfect residual of Hol(N), as a group of its own."""
+    G = holomorph(N).group
+    view = view_of(G)
+    R = view.perfect_residual(frozenset(range(view.size)))
+    return group_from_elements(G.degree, [view.elements[i] for i in R])
 
 
 PERFECT_SEEDING_CASES = [
@@ -141,6 +144,9 @@ PERFECT_SEEDING_CASES = [
     ("PSL(2,7)", lambda: PermGroup(8, [parse_perm("(0 1 2 3 4 5 6)", 8),
                                        parse_perm("(0 7)(1 6)(2 3)(4 5)")])),
     ("Hol(C2^3)", _hol_c2_cubed),
+    # the perfect group the degree-24 catalogue lattice of Hol(C2^3 x C3)
+    # seeds from: AGL(3,2) of order 1344 on 24 points, in three orbits
+    ("Hol(C2^3xC3)^(oo)", lambda: _hol_residual(groups_of_order(24).groups[0])),
     # G^(oo) is proper in the last two, so the sweep runs on a view of its
     # own; A6 has two classes of A5, which Sym(6) does not fuse
     ("Sym(5)xSym(3)", lambda: PermGroup(8, [parse_perm("(0 1 2 3 4)", 8), parse_perm("(0 1)", 8),
@@ -157,6 +163,8 @@ def test_perfect_seeding_matches_old_sweep(name, make):
     G = make()
     if name == "PSL(2,7)":
         assert G.order() == 168 and G.is_transitive()
+    if name == "Hol(C2^3xC3)^(oo)":
+        assert (G.order(), G.degree) == (1344, 24) and not G.is_transitive()
     lat = _Lattice(G)
     lat.seed()
     seeded = {rec["key"] for rec in lat.classes if rec["order"] > 1}
@@ -220,13 +228,20 @@ def _count_sweep_closures(monkeypatch):
 
 @pytest.mark.parametrize("name,make", PERFECT_SEEDING_CASES)
 def test_sweep_cuts_closures_at_a_fifth(name, make, monkeypatch):
-    """Every closure of the perfect-subgroup sweep, in the pair sweep and
-    the residual round, is cut off at a fifth of the sweep's view."""
+    """The perfect-subgroup sweep closes each pair of ``_sweep_pairs`` on
+    its view once and nothing else, and cuts every closure off at a fifth
+    of that view."""
     G = make()
-    subgroups._SWEEPS.clear()
     calls = _count_sweep_closures(monkeypatch)
     _Lattice(G).seed()
-    assert calls
+    (size,) = {size for size, _ in calls}
+    view = view_of(G)
+    if size != view.size:  # the sweep ran on a view of G^(oo)
+        view = GroupView.from_perm_elements(
+            [view.elements[i] for i in view.perfect_residual(frozenset(range(view.size)))],
+            view.elements[view.identity],
+        )
+    assert len(calls) == len(list(_sweep_pairs(view)))
     assert all(maxsize is not None and maxsize <= size // 5 for size, maxsize in calls)
 
 
@@ -242,51 +257,6 @@ def test_perfect_groups_have_no_subgroup_of_index_at_most_4():
         *proper, whole = all_subgroup_classes(G)
         assert whole.order == G.order()
         assert all(G.order() // c.order >= 5 for c in proper)
-
-
-def _entry_38_group():
-    """Catalogue entry 38, Hol(C2^3), as a group that carries no lattice
-    records, so that its index-8 classes come from a lattice run."""
-    from hopfgalois.pipeline import build_catalogue
-
-    (entry,) = [e for e in build_catalogue(8) if e.entry_id == 38]
-    assert entry.order == 1344
-    return PermGroup(8, entry.group.generators)
-
-
-def test_sweep_table_serves_a_smaller_cap(monkeypatch):
-    """After the lattice of Hol(C2^3), the index-8 lattice of catalogue
-    entry 38, the same group on the same element set, closes no sweep
-    pair, and gives the classes it gives with the table cleared."""
-    G = _entry_38_group()
-    subgroups._SWEEPS.clear()
-    transitive_subgroup_classes(_hol_c2_cubed_holomorph())
-    calls = _count_sweep_closures(monkeypatch)
-    served = index_n_subgroup_classes(G, 8)
-    assert not calls
-    subgroups._SWEEPS.clear()
-    fresh = index_n_subgroup_classes(G, 8)
-    assert calls
-    assert _described(served) == _described(fresh)
-
-
-def test_sweep_table_sweeps_again_for_a_larger_cap(monkeypatch):
-    """An index-8 sweep on entry 38, capped at order 168, does not serve
-    the uncapped catalogue lattice of Hol(C2^3): the sweep runs again,
-    and the degree-8 catalogue is still the pinned one."""
-    import hashlib
-    import json
-
-    from hopfgalois.pipeline import build_catalogue
-    from test_tooling import CATALOGUE_DIGESTS
-
-    G = _entry_38_group()
-    subgroups._SWEEPS.clear()
-    index_n_subgroup_classes(G, 8)
-    calls = _count_sweep_closures(monkeypatch)
-    payload = json.dumps([e.to_json() for e in build_catalogue(8)], sort_keys=True)
-    assert calls
-    assert hashlib.sha256(payload.encode()).hexdigest() == CATALOGUE_DIGESTS[8]
 
 
 def _described(classes):
